@@ -26,11 +26,12 @@
 //! once per shared relationship with the entering node, and again with
 //! opposite sign for the exiting one. Issuing each `±1` as its own heap
 //! operation turns every touch into an unlink + push on the bucket lists
-//! (three random-access arrays plus the bucket heads). Instead, the build
+//! (random accesses to the node and both its neighbours). Instead, the build
 //! loop accumulates the step's enter **and** exit deltas into a reusable
 //! dense scratch buffer (`DeltaScratch`) keyed by candidate, pre-filters
-//! already-placed candidates with a placed bitset before any heap work,
-//! and then applies **one net [`UnitHeap::update`] per touched candidate**.
+//! already-placed candidates with a per-node live flag before any heap
+//! work, and then applies **one net [`UnitHeap::update`] per touched
+//! candidate**.
 //!
 //! The coalesced path is permutation-preserving: within a bucket the unit
 //! heap pops in LIFO order of the last key change, so replaying each
@@ -150,52 +151,59 @@ impl GorderStats {
 /// Reusable per-run scratch for coalescing one placement step's window
 /// deltas: a dense net-delta buffer keyed by candidate plus the touch
 /// stream needed to replay candidates in last-touch order. All buffers
-/// are allocated once per run and cleared incrementally (`delta` and
-/// `seen` only at the entries actually touched), so steady-state steps
-/// do no allocation.
+/// are allocated once per run and cleared incrementally (`pending` only
+/// at the entries actually touched, epochs make its stamps reusable), so
+/// steady-state steps do no allocation.
 struct DeltaScratch {
-    /// Net pending key change per candidate; non-zero only between
-    /// `accumulate` and `flush` for touched candidates.
-    delta: Vec<i32>,
-    /// Every touch of this step, in the exact per-unit stream order.
+    /// Per candidate: the net pending key change (non-zero only between
+    /// `accumulate` and `flush` for touched candidates) and the epoch
+    /// stamp backing the dedup, side by side so each pass over a
+    /// candidate touches one cache line.
+    pending: Vec<(i32, u32)>,
+    /// Every live touch of this step in the exact per-unit stream order,
+    /// in `events[..len]`; never longer than those plus one list.
     events: Vec<NodeId>,
-    /// Deduped touch stream in *reverse* last-touch order (scratch for
-    /// `flush`).
-    order: Vec<NodeId>,
-    /// Epoch stamps backing the dedup (no clearing between steps).
-    seen: Vec<u64>,
-    /// Current dedup epoch; bumped once per flush.
-    epoch: u64,
-    /// Placed bitset: candidates already laid out are filtered here,
-    /// before any delta accounting or heap lookup.
-    placed: Vec<bool>,
+    len: usize,
+    /// Current dedup epoch; bumped once per flush (`n` per run), so it
+    /// fits a `u32`.
+    epoch: u32,
+    /// 1 while a candidate is unplaced, 0 once laid out: placed
+    /// candidates are filtered here, before any heap lookup.
+    live: Vec<u8>,
 }
 
 impl DeltaScratch {
     fn new(n: u32) -> Self {
         let n = n as usize;
         DeltaScratch {
-            delta: vec![0; n],
+            pending: vec![(0, 0); n],
             events: Vec::new(),
-            order: Vec::new(),
-            seen: vec![0; n],
+            len: 0,
             epoch: 0,
-            placed: vec![false; n],
+            live: vec![1; n],
         }
     }
 
+    /// Touches every candidate in `list` with `sign`, in order, without
+    /// branching: a placed candidate adds 0 to its delta, and its event
+    /// slot is overwritten by the next touch.
     #[inline]
-    fn touch(&mut self, u: NodeId, sign: i32) {
-        if self.placed[u as usize] {
-            return;
+    fn touch_all(&mut self, list: &[NodeId], sign: i32) {
+        if self.events.len() < self.len + list.len() {
+            self.events.resize(self.len + list.len(), 0);
         }
-        self.delta[u as usize] += sign;
-        self.events.push(u);
+        for &u in list {
+            let live = self.live[u as usize];
+            self.pending[u as usize].0 += sign * i32::from(live);
+            self.events[self.len] = u;
+            self.len += usize::from(live);
+        }
     }
 
     /// Accumulates the ±1 score updates triggered by `v` entering
     /// (`sign = 1`) or leaving (`sign = -1`) the window, in the exact
-    /// order the per-unit implementation issued them.
+    /// order the per-unit implementation issued them. `v` itself is
+    /// placed either way, so the live filter drops its own touches.
     fn accumulate(
         &mut self,
         g: &Graph,
@@ -205,23 +213,17 @@ impl DeltaScratch {
         stats: &mut GorderStats,
     ) {
         // Neighbour score via out-edges of v: S_n(u, v) counts edge v → u.
-        for &u in g.out_neighbors(v) {
-            self.touch(u, sign);
-        }
-        for &x in g.in_neighbors(v) {
+        self.touch_all(g.out_neighbors(v), sign);
+        for x in g.in_neighbors(v) {
             // Neighbour score via in-edges of v: S_n counts edge x → v.
-            self.touch(x, sign);
+            self.touch_all(std::slice::from_ref(x), sign);
             // Sibling score: x is a common in-neighbour of v and of every
             // other out-neighbour u of x.
-            if g.out_degree(x) > hub_threshold {
+            if g.out_degree(*x) > hub_threshold {
                 stats.hub_skips += 1;
                 continue;
             }
-            for &u in g.out_neighbors(x) {
-                if u != v {
-                    self.touch(u, sign);
-                }
-            }
+            self.touch_all(g.out_neighbors(*x), sign);
         }
     }
 
@@ -236,23 +238,32 @@ impl DeltaScratch {
     /// the permutation — byte for byte.
     fn flush(&mut self, heap: &mut UnitHeap, stats: &mut GorderStats) {
         self.epoch += 1;
-        self.order.clear();
-        for &u in self.events.iter().rev() {
-            if self.seen[u as usize] != self.epoch {
-                self.seen[u as usize] = self.epoch;
-                self.order.push(u);
-            }
+        // Branch-free dedup in place, back to front: every event is
+        // written to the free slot nearest the end, which only a first
+        // sighting claims. Slots at or after the scan position are
+        // already read, so `events[kept..len]` ends up holding each
+        // candidate once, in last-touch order.
+        let mut kept = self.len;
+        for i in (0..self.len).rev() {
+            let u = self.events[i];
+            let seen = &mut self.pending[u as usize].1;
+            let fresh = *seen != self.epoch;
+            *seen = self.epoch;
+            self.events[kept - 1] = u;
+            kept -= usize::from(fresh);
         }
-        for &u in self.order.iter().rev() {
-            let d = std::mem::take(&mut self.delta[u as usize]);
+        let k = self.len - kept;
+        let (mut up, mut down) = (0, 0);
+        for &u in &self.events[kept..self.len] {
+            let d = std::mem::take(&mut self.pending[u as usize].0);
             heap.update(u, i64::from(d));
-            match d.cmp(&0) {
-                std::cmp::Ordering::Greater => stats.increments += 1,
-                std::cmp::Ordering::Less => stats.decrements += 1,
-                std::cmp::Ordering::Equal => stats.refreshes += 1,
-            }
+            up += u64::from(d > 0);
+            down += u64::from(d < 0);
         }
-        self.events.clear();
+        stats.increments += up;
+        stats.decrements += down;
+        stats.refreshes += k as u64 - up - down;
+        self.len = 0;
     }
 }
 
@@ -325,14 +336,14 @@ impl Gorder {
                 .max_by_key(|&u| (g.in_degree(u), std::cmp::Reverse(u)))
                 .expect("non-empty graph");
             heap.remove(seed);
-            scratch.placed[seed as usize] = true;
+            scratch.live[seed as usize] = 0;
             placement.push(seed);
             scratch.accumulate(g, seed, 1, hub, &mut stats);
             scratch.flush(&mut heap, &mut stats);
 
             while let Some(v) = heap.pop_max() {
                 stats.pops += 1;
-                scratch.placed[v as usize] = true;
+                scratch.live[v as usize] = 0;
                 placement.push(v);
                 scratch.accumulate(g, v, 1, hub, &mut stats);
                 if placement.len() > w {
@@ -450,7 +461,9 @@ fn chdfs_fill(g: &Graph, placement: &mut Vec<NodeId>) {
 mod tests {
     use super::*;
     use crate::score::{f_score_of, pair_score};
+    use gorder_graph::datasets::twitter_like;
     use gorder_graph::gen::{copying_model, preferential_attachment, PrefAttachConfig};
+    use gorder_graph::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -536,6 +549,8 @@ mod tests {
                 "sparse",
                 Graph::from_edges(8, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
             ),
+            ("twitter", twitter_like().build(0.01)),
+            ("self-loops", self_loops_and_shared_in_neighbours()),
         ];
         for (tag, g) in &graphs {
             for w in [1u32, 2, 5, 64] {
@@ -558,6 +573,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every node has a self-loop, and nodes 0 and 1 point at every
+    /// other node, so the window's members share both in-neighbours: each
+    /// step walks out-lists that hold the entering node itself, the
+    /// expiring node, and nodes still inside the window.
+    fn self_loops_and_shared_in_neighbours() -> Graph {
+        let n = 24;
+        let mut b = GraphBuilder::new(n).keep_self_loops(true);
+        for u in 0..n {
+            b.add_edge(u, u);
+            b.add_edge(u, (u * 7 + 3) % n);
+            if u >= 2 {
+                b.add_edge(0, u);
+                b.add_edge(1, u);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn twitter_counters_are_pinned() {
+        // The counters the benchmark reports as `core.heap_updates` and
+        // `core.heap_pops`, pinned on a hub-heavy input: a hot-path change
+        // must leave the coalesced update stream exactly as it is.
+        let g = twitter_like().build(0.02);
+        let (_, stats) = Gorder::with_defaults().compute_with_stats(&g);
+        assert_eq!(
+            stats,
+            GorderStats {
+                increments: 726_872,
+                decrements: 731_157,
+                pops: 2_999,
+                hub_skips: 0,
+                refreshes: 203_725,
+            }
+        );
     }
 
     fn social(n: u32) -> Graph {

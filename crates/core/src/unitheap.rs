@@ -9,11 +9,22 @@
 //! only rises by one per increment).
 //!
 //! This is a safe-Rust re-design of that structure: intrusive links are
-//! `u32` indices instead of raw pointers, and buckets are indexed by key.
+//! `u32` indices instead of raw pointers, each bucket is a circular list
+//! through a sentinel, so (un)linking never tests for a list end, and an
+//! element's key, links and presence flag share one 16-byte record, so a
+//! bucket move touches one record per element involved.
 
 use gorder_graph::NodeId;
 
-const NONE: u32 = u32::MAX;
+/// One element's (or bucket sentinel's) state: its key, its neighbours
+/// in its bucket's circular list, and whether it is still in the heap.
+#[derive(Clone, Copy)]
+struct Slot {
+    key: u32,
+    prev: u32,
+    next: u32,
+    live: bool,
+}
 
 /// Bucketed max-priority queue over elements `0..n` with unit key updates.
 ///
@@ -27,32 +38,31 @@ const NONE: u32 = u32::MAX;
 /// has.
 #[derive(Clone)]
 pub struct UnitHeap {
-    key: Vec<u32>,
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    /// `head[k]` = first element of the bucket holding key `k`.
-    head: Vec<u32>,
-    max_key: usize,
-    in_heap: Vec<bool>,
+    /// Elements `0..n`, then the sentinel of bucket `k` at `n + k`.
+    slots: Vec<Slot>,
+    n: u32,
+    max_key: u32,
     len: usize,
 }
 
 impl UnitHeap {
     /// A heap over elements `0..n`, all present with key 0.
     pub fn new(n: u32) -> Self {
-        let n = n as usize;
+        let slot = Slot {
+            key: 0,
+            prev: 0,
+            next: 0,
+            live: true,
+        };
         let mut h = UnitHeap {
-            key: vec![0; n],
-            prev: vec![NONE; n],
-            next: vec![NONE; n],
-            head: vec![NONE; 1],
+            slots: vec![slot; n as usize],
+            n,
             max_key: 0,
-            in_heap: vec![true; n],
-            len: n,
+            len: n as usize,
         };
         // chain all elements into bucket 0
-        for i in 0..n {
-            h.push_front(0, i as u32);
+        for u in 0..n {
+            h.push_front(0, u);
         }
         h
     }
@@ -72,53 +82,57 @@ impl UnitHeap {
     /// Whether `u` is still in the heap.
     #[inline]
     pub fn contains(&self, u: NodeId) -> bool {
-        self.in_heap[u as usize]
+        self.element(u).live
     }
 
     /// Current key of `u` (meaningful only while `contains(u)`).
     #[inline]
     pub fn key(&self, u: NodeId) -> u32 {
-        self.key[u as usize]
+        self.element(u).key
     }
 
-    fn push_front(&mut self, k: usize, u: u32) {
-        if k >= self.head.len() {
-            self.head.resize(k + 1, NONE);
+    /// Element `u`'s record; ids past `n` panic rather than reach a sentinel.
+    #[inline]
+    fn element(&self, u: NodeId) -> &Slot {
+        &self.slots[..self.n as usize][u as usize]
+    }
+
+    /// The sentinel of bucket `k`, created (with every lower one) on
+    /// first use.
+    fn sentinel(&mut self, k: u32) -> u32 {
+        let s = self.n.checked_add(k).expect("n + key overflows u32");
+        let from = self.slots.len() as u32;
+        if s >= from {
+            self.slots.extend((from..=s).map(|i| Slot {
+                key: i - self.n,
+                prev: i,
+                next: i,
+                live: false,
+            }));
         }
-        let old = self.head[k];
-        self.next[u as usize] = old;
-        self.prev[u as usize] = NONE;
-        if old != NONE {
-            self.prev[old as usize] = u;
-        }
-        self.head[k] = u;
-        if k > self.max_key {
-            self.max_key = k;
-        }
+        s
+    }
+
+    fn push_front(&mut self, k: u32, u: u32) {
+        let s = self.sentinel(k);
+        let old = self.slots[s as usize].next;
+        let slot = &mut self.slots[u as usize];
+        slot.prev = s;
+        slot.next = old;
+        self.slots[old as usize].prev = u;
+        self.slots[s as usize].next = u;
+        self.max_key = self.max_key.max(k);
     }
 
     fn unlink(&mut self, u: u32) {
-        let (p, nx) = (self.prev[u as usize], self.next[u as usize]);
-        if p != NONE {
-            self.next[p as usize] = nx;
-        } else {
-            let k = self.key[u as usize] as usize;
-            debug_assert_eq!(self.head[k], u);
-            self.head[k] = nx;
-        }
-        if nx != NONE {
-            self.prev[nx as usize] = p;
-        }
+        let Slot { prev, next, .. } = self.slots[u as usize];
+        self.slots[prev as usize].next = next;
+        self.slots[next as usize].prev = prev;
     }
 
     /// Increases `u`'s key by one. No-op if `u` was already popped/removed.
     pub fn increment(&mut self, u: NodeId) {
-        if !self.in_heap[u as usize] {
-            return;
-        }
-        self.unlink(u);
-        self.key[u as usize] += 1;
-        self.push_front(self.key[u as usize] as usize, u);
+        self.update(u, 1);
     }
 
     /// Decreases `u`'s key by one. No-op if `u` was already popped/removed.
@@ -127,13 +141,7 @@ impl UnitHeap {
     /// Debug-panics if the key would go negative (the greedy only ever
     /// reverses previous increments).
     pub fn decrement(&mut self, u: NodeId) {
-        if !self.in_heap[u as usize] {
-            return;
-        }
-        debug_assert!(self.key[u as usize] > 0, "decrement below zero for {u}");
-        self.unlink(u);
-        self.key[u as usize] = self.key[u as usize].saturating_sub(1);
-        self.push_front(self.key[u as usize] as usize, u);
+        self.update(u, -1);
     }
 
     /// Applies a **net** key change in one bucket move: unlink, adjust the
@@ -153,14 +161,15 @@ impl UnitHeap {
     /// # Panics
     /// Debug-panics if the key would go negative.
     pub fn update(&mut self, u: NodeId, delta: i64) {
-        if !self.in_heap[u as usize] {
+        if !self.element(u).live {
             return;
         }
         self.unlink(u);
-        let k = i64::from(self.key[u as usize]) + delta;
+        let k = i64::from(self.slots[u as usize].key) + delta;
         debug_assert!(k >= 0, "net update below zero for {u}: {delta}");
-        self.key[u as usize] = k.max(0) as u32;
-        self.push_front(self.key[u as usize] as usize, u);
+        let k = k.max(0) as u32;
+        self.slots[u as usize].key = k;
+        self.push_front(k, u);
     }
 
     /// Removes and returns an element with the maximum key, or `None` when
@@ -169,25 +178,25 @@ impl UnitHeap {
         if self.len == 0 {
             return None;
         }
-        while self.head[self.max_key] == NONE {
+        let mut s = self.n + self.max_key;
+        while self.slots[s as usize].next == s {
             // amortised: max_key only rises on increments
             debug_assert!(self.max_key > 0, "non-empty heap must have a head");
             self.max_key -= 1;
+            s -= 1;
         }
-        let u = self.head[self.max_key];
-        self.unlink(u);
-        self.in_heap[u as usize] = false;
-        self.len -= 1;
+        let u = self.slots[s as usize].next;
+        self.remove(u);
         Some(u)
     }
 
     /// Removes a specific element. No-op if already gone.
     pub fn remove(&mut self, u: NodeId) {
-        if !self.in_heap[u as usize] {
+        if !self.element(u).live {
             return;
         }
         self.unlink(u);
-        self.in_heap[u as usize] = false;
+        self.slots[u as usize].live = false;
         self.len -= 1;
     }
 }
@@ -373,6 +382,14 @@ mod tests {
         h.update(1, 5); // gone: no-op
         assert!(!h.contains(1));
         assert_eq!(h.len(), 2);
+    }
+
+    #[test]
+    #[should_panic]
+    fn ids_past_n_panic_instead_of_reaching_a_sentinel() {
+        // Slot 3 exists (bucket 0's sentinel), but id 3 is out of range.
+        let mut h = UnitHeap::new(3);
+        h.increment(3);
     }
 
     #[test]

@@ -46,7 +46,9 @@ pub struct OrderStats {
     pub hub_skips: u64,
     /// Seconds spent computing the permutation.
     pub compute_secs: f64,
-    /// Seconds spent validating/finishing (bijection checks, mapping).
+    /// Seconds spent on the runner's bookkeeping after the build
+    /// (recording the node count and degrade flag). No bijection check
+    /// runs here: a `Permutation` is already validated when constructed.
     pub finish_secs: f64,
     /// Worker threads the ordering actually used (1 for the serial zoo).
     pub threads_used: u32,

@@ -1,14 +1,18 @@
 //! Golden permutation digests: every ordering in the extended registry,
-//! on one representative of each generated family (web / ER / grid), at
-//! threads {1, 4}, must keep producing the exact permutation it produced
-//! when `tests/golden/perm_digests.txt` was committed.
+//! on one representative of each generated family (web / ER / grid /
+//! social), at threads {1, 4}, must keep producing the exact permutation
+//! it produced when `tests/golden/perm_digests.txt` was committed.
 //!
 //! This is the proof obligation for hot-path work on the Gorder build
 //! loop (delta coalescing, heap changes, partition refactors): such
 //! optimisations must be **permutation-preserving**, and a digest drift
 //! here means tie-breaking or placement order changed, not just speed.
-//! The digests were generated *before* the coalesced-delta optimisation
-//! landed, so they pin the original per-unit-update semantics.
+//! The web/ER/grid digests were generated *before* the coalesced-delta
+//! optimisation landed, so they pin the original per-unit-update
+//! semantics. The social digests (twitter-like, scale 0.02: power-law
+//! hubs whose in-lists the build walks thousands of times) were appended
+//! before the branchless delta scratch and the one-record-per-node unit
+//! heap landed; earlier lines were left byte-identical.
 //!
 //! Regenerate (only when an ordering's output is *intentionally*
 //! changed) with:
@@ -18,6 +22,7 @@
 //! ```
 
 use gorder_core::budget::Budget;
+use gorder_graph::datasets::twitter_like;
 use gorder_graph::gen::{erdos_renyi, web_graph, WebGraphConfig};
 use gorder_graph::Graph;
 use gorder_orders::{extended_names, run_by_name_plan, ExecPlan};
@@ -25,8 +30,9 @@ use std::path::PathBuf;
 
 const SEED: u64 = 13;
 
-/// Same three-family set as the parallel differential suite: a
-/// host-structured web graph, uniform ER, and a regular 2-D grid.
+/// The parallel differential suite's three families — a host-structured
+/// web graph, uniform ER, and a regular 2-D grid — plus a hub-heavy
+/// social graph, appended last so the earlier lines keep their place.
 fn test_graphs() -> Vec<(&'static str, Graph)> {
     let web = web_graph(WebGraphConfig {
         n: 300,
@@ -51,7 +57,8 @@ fn test_graphs() -> Vec<(&'static str, Graph)> {
         }
     }
     let grid = Graph::from_edges(side * side, &edges);
-    vec![("web", web), ("er", er), ("grid", grid)]
+    let social = twitter_like().build(0.02);
+    vec![("web", web), ("er", er), ("grid", grid), ("social", social)]
 }
 
 /// FNV-1a over the permutation's `old id → new id` map, little-endian.

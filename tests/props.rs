@@ -20,6 +20,16 @@ fn arb_perm(n: u32, seed: u64) -> Permutation {
     Permutation::random(n, &mut rand::rngs::StdRng::seed_from_u64(seed))
 }
 
+/// The unit heap's pop contract as a plain scan: the largest key wins,
+/// and ties go to the element whose key changed most recently (LIFO
+/// within a bucket). `stamp[u]` is the time of `u`'s last key change.
+fn model_pop_max(keys: &[i64], stamp: &[u64], alive: &[bool]) -> Option<u32> {
+    (0..keys.len())
+        .filter(|&u| alive[u])
+        .max_by_key(|&u| (keys[u], stamp[u]))
+        .map(|u| u as u32)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -279,5 +289,72 @@ proptest! {
             last = Some(k);
         }
         prop_assert!(alive.iter().all(|&a| !a));
+    }
+
+    #[test]
+    fn unit_heap_pops_in_exact_lifo_order(
+        ops in proptest::collection::vec((0u32..48, 0u8..10, 0i64..4), 1..300)
+    ) {
+        // LIFO tie-breaking is what keeps Gorder's permutation fixed, so
+        // the exact pop sequence must match the model, not just its keys.
+        use gorder_core::UnitHeap;
+        const N: usize = 48;
+        let mut h = UnitHeap::new(N as u32);
+        let mut keys = vec![0i64; N];
+        let mut alive = vec![true; N];
+        // `new` chains 0..n into bucket 0 in id order: the highest id is
+        // the most recent arrival.
+        let mut stamp: Vec<u64> = (0..N as u64).collect();
+        let mut clock = N as u64;
+        for (u, kind, k) in ops {
+            let i = u as usize;
+            let delta = match kind {
+                0 | 1 => 1,
+                2 => -1,
+                3 | 4 => k,
+                5 | 6 => -k,
+                7 => {
+                    h.remove(u);
+                    alive[i] = false;
+                    continue;
+                }
+                _ => {
+                    let want = model_pop_max(&keys, &stamp, &alive);
+                    prop_assert_eq!(h.pop_max(), want);
+                    if let Some(p) = want {
+                        alive[p as usize] = false;
+                    }
+                    continue;
+                }
+            };
+            // The greedy never drives a live key below zero.
+            if alive[i] && keys[i] + delta < 0 {
+                continue;
+            }
+            match kind {
+                0 | 1 => h.increment(u),
+                2 => h.decrement(u),
+                _ => h.update(u, delta),
+            }
+            // Updates to a popped or removed element are no-ops.
+            if alive[i] {
+                keys[i] += delta;
+                stamp[i] = clock;
+                clock += 1;
+            }
+            prop_assert_eq!(h.contains(u), alive[i]);
+            if alive[i] {
+                prop_assert_eq!(i64::from(h.key(u)), keys[i]);
+            }
+        }
+        prop_assert_eq!(h.len(), alive.iter().filter(|&&a| a).count());
+        loop {
+            let want = model_pop_max(&keys, &stamp, &alive);
+            prop_assert_eq!(h.pop_max(), want);
+            match want {
+                Some(p) => alive[p as usize] = false,
+                None => break,
+            }
+        }
     }
 }
