@@ -3,8 +3,8 @@
 //! flickr-like graph.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gorder_algos::RunCtx;
 use gorder_core::Gorder;
+use gorder_engine::{run_by_name, KernelCtx, PAPER_KERNELS};
 use std::hint::black_box;
 
 fn bench_algorithms(c: &mut Criterion) {
@@ -12,29 +12,29 @@ fn bench_algorithms(c: &mut Criterion) {
     let perm = Gorder::with_defaults().compute(&g);
     let reordered = g.relabel(&perm);
     let source = g.max_degree_node().unwrap_or(0);
-    let ctx_orig = RunCtx {
+    let ctx_orig = KernelCtx {
         source: Some(source),
         pr_iterations: 10,
         diameter_samples: 2,
         ..Default::default()
     };
-    let ctx_gord = RunCtx {
+    let ctx_gord = KernelCtx {
         source: Some(perm.apply(source)),
         ..ctx_orig.clone()
     };
 
     let mut group = c.benchmark_group("algorithm_runtime");
     group.sample_size(10);
-    for a in gorder_algos::all() {
+    for name in PAPER_KERNELS {
         group.bench_with_input(
-            BenchmarkId::new(a.name(), "Original"),
+            BenchmarkId::new(name, "Original"),
             &(&g, &ctx_orig),
-            |b, (g, ctx)| b.iter(|| black_box(a.run(black_box(g), ctx))),
+            |b, (g, ctx)| b.iter(|| black_box(run_by_name(name, black_box(g), ctx))),
         );
         group.bench_with_input(
-            BenchmarkId::new(a.name(), "Gorder"),
+            BenchmarkId::new(name, "Gorder"),
             &(&reordered, &ctx_gord),
-            |b, (g, ctx)| b.iter(|| black_box(a.run(black_box(g), ctx))),
+            |b, (g, ctx)| b.iter(|| black_box(run_by_name(name, black_box(g), ctx))),
         );
     }
     group.finish();

@@ -3,7 +3,7 @@
 //! implementation note (DESIGN.md §8).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gorder_algos::kcore::{kcore, kcore_binary_heap};
+use gorder_engine::kernels::kcore::{kcore, kcore_binary_heap};
 use std::hint::black_box;
 
 fn bench_kcore(c: &mut Criterion) {

@@ -8,17 +8,18 @@
 //! PageRank runtime, simulated L1 miss rate, the Gorder objective `F(π)`,
 //! mean edge span, and bandwidth.
 
-use gorder_algos::{GraphAlgorithm, RunCtx};
 use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::robust::{resolve_ordering, OrderHooks};
 use gorder_bench::timing::{median_secs, pretty_secs, time_once};
 use gorder_bench::{
-    check_ordering_filter, expected_config_hash, HarnessArgs, ResumeState, SweepTrace,
+    check_algo_filter, check_ordering_filter, expected_config_hash, HarnessArgs, ResumeState,
+    SweepTrace,
 };
 use gorder_cachesim::trace::{pagerank as traced_pr, TraceCtx};
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, Tracer};
 use gorder_core::budget::ExecOutcome;
 use gorder_core::score::{bandwidth_of, f_score_of};
+use gorder_engine::KernelCtx;
 use gorder_graph::locality::mean_edge_span;
 use gorder_obs::{CellEvent, OrderEvent, PhaseEvent, TraceEvent};
 use gorder_orders::{OrderCache, OrderingAlgorithm};
@@ -32,7 +33,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let ctx = RunCtx {
+    let ctx = KernelCtx {
         pr_iterations: if args.quick { 5 } else { 50 },
         ..Default::default()
     };
@@ -40,10 +41,11 @@ fn main() {
         pr_iterations: if args.quick { 2 } else { 5 },
         ..Default::default()
     };
-    let pr = gorder_algos::pagerank::Pr;
     let mut csv_rows = Vec::new();
     let timeout = args.cell_timeout_duration();
-    if let Err(e) = check_ordering_filter(&args.orderings) {
+    if let Err(e) = check_ordering_filter(&args.orderings)
+        .and_then(|()| check_algo_filter(&args.algos, args.has_flag("--extended")))
+    {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
@@ -209,7 +211,14 @@ fn main() {
                 seconds: order_secs,
             }));
             let rg = g.relabel(&perm);
-            let (pr_secs, pr_checksum) = median_secs(|| pr.run(&rg, &ctx), args.reps);
+            let (pr_secs, pr_checksum) = median_secs(
+                || {
+                    gorder_engine::run_by_name("PR", &rg, &ctx)
+                        .expect("PR is a kernel")
+                        .checksum
+                },
+                args.reps,
+            );
             trace.event(&TraceEvent::Cell(CellEvent {
                 dataset: d.name.to_string(),
                 ordering: o.name().to_string(),

@@ -7,13 +7,13 @@
 //! replication's 64–2048 plateau, and degrades for very large windows —
 //! while ordering time grows with w.
 
-use gorder_algos::{GraphAlgorithm, RunCtx};
 use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::timing::{median_secs, pretty_secs, time_once};
 use gorder_bench::HarnessArgs;
 use gorder_cachesim::trace::{pagerank as traced_pr, TraceCtx};
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder_core::GorderBuilder;
+use gorder_engine::KernelCtx;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -29,7 +29,7 @@ fn main() {
         .filter(|&w| w <= g.n())
         .collect();
     let wall = args.has_flag("--wall");
-    let ctx = RunCtx {
+    let ctx = KernelCtx {
         pr_iterations: if args.quick { 10 } else { 100 },
         ..Default::default()
     };
@@ -38,7 +38,6 @@ fn main() {
         ..Default::default()
     };
     let model = StallModel::skylake();
-    let pr = gorder_algos::pagerank::Pr;
     println!(
         "(PR time: {} — pass --wall for wall-clock)\n",
         if wall {
@@ -54,7 +53,14 @@ fn main() {
         let (order_secs, perm) = time_once(|| GorderBuilder::new().window(w).build().compute(&g));
         let rg = g.relabel(&perm);
         let (pr_secs, l1_mr) = if wall {
-            let (secs, _) = median_secs(|| pr.run(&rg, &ctx), args.reps);
+            let (secs, _) = median_secs(
+                || {
+                    gorder_engine::run_by_name("PR", &rg, &ctx)
+                        .expect("PR is a kernel")
+                        .checksum
+                },
+                args.reps,
+            );
             (secs, f64::NAN)
         } else {
             let mut tracer = Tracer::new(CacheHierarchy::new(&HierarchyConfig::scaled_down()));

@@ -20,8 +20,9 @@ use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::schema::FIG5_HEADER;
 use gorder_bench::timing::pretty_secs;
 use gorder_bench::{
-    check_ordering_filter, expected_config_hash, run_grid, run_grid_robust_full, CellResult,
-    CellStatus, GridConfig, HarnessArgs, OrderHooks, ResumeState, RobustCell, SweepTrace,
+    check_algo_filter, check_ordering_filter, expected_config_hash, run_grid, run_grid_robust_full,
+    CellResult, CellStatus, GridConfig, HarnessArgs, OrderHooks, ResumeState, RobustCell,
+    SweepTrace,
 };
 use gorder_obs::OrderEvent;
 use gorder_orders::OrderCache;
@@ -56,9 +57,12 @@ fn main() {
             })
             .collect();
     }
-    // Unknown ordering names fail before any graph is built, with a
-    // typo suggestion when one is close.
-    if let Err(e) = check_ordering_filter(&args.orderings) {
+    // Unknown ordering or algorithm names fail before any graph is
+    // built, with a typo suggestion when one is close; so does an
+    // extension kernel without --extended (its grid has no such cell).
+    if let Err(e) = check_ordering_filter(&args.orderings)
+        .and_then(|()| check_algo_filter(&args.algos, cfg.extended))
+    {
         eprintln!("error: {e}");
         std::process::exit(2);
     }

@@ -5,15 +5,16 @@
 //! SlashBurn/LDG moderate, MinLA < MinLogA expensive, Gorder the most
 //! expensive and visibly super-linear in m.
 
-use gorder_algos::{ExecPlan, GraphAlgorithm, RunCtx};
 use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::robust::{resolve_ordering, OrderHooks};
 use gorder_bench::schema::TABLE2_HEADER;
 use gorder_bench::timing::{pretty_secs, time_once};
 use gorder_bench::{
-    check_ordering_filter, expected_config_hash, HarnessArgs, ResumeState, SweepTrace,
+    check_algo_filter, check_ordering_filter, expected_config_hash, HarnessArgs, ResumeState,
+    SweepTrace,
 };
 use gorder_core::budget::ExecOutcome;
+use gorder_engine::{ExecPlan, KernelCtx};
 use gorder_obs::{CellEvent, OrderEvent, TraceEvent};
 use gorder_orders::{OrderCache, OrderingAlgorithm};
 use std::sync::Arc;
@@ -43,7 +44,9 @@ fn main() {
             })
             .collect(),
     };
-    if let Err(e) = check_ordering_filter(&args.orderings) {
+    if let Err(e) = check_ordering_filter(&args.orderings)
+        .and_then(|()| check_algo_filter(&args.algos, args.has_flag("--extended")))
+    {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
@@ -199,8 +202,10 @@ fn main() {
             let (bfs_iters, bfs_edges, bfs_threads) = match &perm {
                 Some(perm) => {
                     let rg = g.relabel(perm);
-                    let (_, stats) =
-                        gorder_algos::bfs::Bfs.run_stats_plan(&rg, &RunCtx::default(), plan);
+                    let stats =
+                        gorder_engine::run_by_name_plan("BFS", &rg, &KernelCtx::default(), plan)
+                            .expect("BFS is a kernel")
+                            .stats;
                     (
                         stats.iterations.to_string(),
                         stats.edges_relaxed.to_string(),

@@ -6,10 +6,10 @@
 //! result is a flat list of cells, one per (dataset, ordering, algorithm).
 
 use crate::timing::median_secs;
-use gorder_algos::{ExecPlan, GraphAlgorithm, KernelStats, RunCtx};
 use gorder_cachesim::trace::{replay_with_stats, TraceCtx};
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder_core::budget::Budget;
+use gorder_engine::{ExecPlan, KernelCtx, KernelStats, EXTENSION_KERNELS, PAPER_KERNELS};
 use gorder_graph::datasets::Dataset;
 use gorder_graph::Permutation;
 use gorder_orders::{run_ordering, OrderingAlgorithm};
@@ -28,7 +28,10 @@ pub struct GridConfig {
     pub datasets: Vec<Dataset>,
     /// Ordering-name filter (`None` = all ten).
     pub orderings: Option<Vec<String>>,
-    /// Algorithm-name filter (`None` = all nine).
+    /// Algorithm-name filter, case-insensitive (`None` = every kernel
+    /// the configuration includes). Validate it with
+    /// [`check_algo_filter`](crate::check_algo_filter) first: unknown
+    /// names match nothing.
     pub algos: Option<Vec<String>>,
     /// Include the extension orderings (HubSort/HubCluster/DBG/Bisect)
     /// and extension algorithms (WCC/Tri/LP/BC) alongside the paper's.
@@ -68,9 +71,29 @@ impl GridConfig {
         }
     }
 
+    /// The kernel labels this configuration runs, in presentation order:
+    /// the paper's nine (plus the extensions under `extended`), narrowed
+    /// by the `algos` filter.
+    pub fn algo_names(&self) -> Vec<&'static str> {
+        let extensions: &[&'static str] = if self.extended {
+            &EXTENSION_KERNELS
+        } else {
+            &[]
+        };
+        PAPER_KERNELS
+            .iter()
+            .chain(extensions)
+            .copied()
+            .filter(|a| match &self.algos {
+                None => true,
+                Some(keep) => keep.iter().any(|k| k.eq_ignore_ascii_case(a)),
+            })
+            .collect()
+    }
+
     /// The algorithm parameters implied by this configuration.
-    pub fn run_ctx(&self) -> RunCtx {
-        RunCtx {
+    pub fn run_ctx(&self) -> KernelCtx {
+        KernelCtx {
             source: None,
             pr_iterations: if self.quick { 10 } else { 100 },
             damping: 0.85,
@@ -94,8 +117,7 @@ pub struct CellResult {
     /// Checksum of the last run (work-elision guard; relabeling-invariant
     /// where the algorithm's output is).
     pub checksum: u64,
-    /// Engine execution metrics of the last run (zeroed for algorithms
-    /// without engine instrumentation).
+    /// Engine execution metrics of the last run.
     pub stats: KernelStats,
 }
 
@@ -109,26 +131,34 @@ fn ordered(o: &dyn OrderingAlgorithm, g: &gorder_graph::Graph) -> Permutation {
         .perm
 }
 
-fn selected<T, F: Fn(&T) -> &str>(all: Vec<T>, filter: &Option<Vec<String>>, name: F) -> Vec<T> {
+fn selected(
+    all: Vec<Box<dyn OrderingAlgorithm>>,
+    filter: &Option<Vec<String>>,
+) -> Vec<Box<dyn OrderingAlgorithm>> {
     match filter {
         None => all,
         Some(keep) => all
             .into_iter()
-            .filter(|x| keep.iter().any(|k| k == name(x)))
+            .filter(|o| keep.iter().any(|k| k == o.name()))
             .collect(),
     }
 }
 
+/// One wall-clock run of the kernel labelled `name`.
+pub(crate) fn run_kernel(
+    name: &str,
+    g: &gorder_graph::Graph,
+    ctx: &KernelCtx,
+    plan: ExecPlan,
+) -> (u64, KernelStats) {
+    let run = gorder_engine::run_by_name_plan(name, g, ctx, plan).expect("engine kernel label");
+    (run.checksum, run.stats)
+}
+
 /// Runs the grid, reporting progress on stderr.
 pub fn run_grid(cfg: &GridConfig) -> Vec<CellResult> {
-    let orderings: Vec<Box<dyn OrderingAlgorithm>> =
-        selected(cfg.ordering_pool(), &cfg.orderings, |o| o.name());
-    let algo_pool = if cfg.extended {
-        gorder_algos::extended()
-    } else {
-        gorder_algos::all()
-    };
-    let algos: Vec<Box<dyn GraphAlgorithm>> = selected(algo_pool, &cfg.algos, |a| a.name());
+    let orderings = selected(cfg.ordering_pool(), &cfg.orderings);
+    let algos = cfg.algo_names();
     let base_ctx = cfg.run_ctx();
     let mut cells = Vec::new();
     for d in &cfg.datasets {
@@ -138,16 +168,16 @@ pub fn run_grid(cfg: &GridConfig) -> Vec<CellResult> {
         for o in &orderings {
             let perm = ordered(o.as_ref(), &g);
             let rg = g.relabel(&perm);
-            let ctx = RunCtx {
+            let ctx = KernelCtx {
                 source: Some(perm.apply(logical_source)),
                 ..base_ctx.clone()
             };
-            for a in &algos {
+            for &a in &algos {
                 let plan = cfg.exec_plan();
                 let mut stats = KernelStats::default();
                 let (secs, checksum) = median_secs(
                     || {
-                        let (checksum, s) = a.run_stats_plan(&rg, &ctx, plan);
+                        let (checksum, s) = run_kernel(a, &rg, &ctx, plan);
                         stats = s;
                         checksum
                     },
@@ -155,7 +185,7 @@ pub fn run_grid(cfg: &GridConfig) -> Vec<CellResult> {
                 );
                 cells.push(CellResult {
                     dataset: d.name.to_string(),
-                    algo: a.name().to_string(),
+                    algo: a.to_string(),
                     ordering: o.name().to_string(),
                     seconds: secs,
                     checksum,
@@ -179,21 +209,8 @@ pub fn run_grid(cfg: &GridConfig) -> Vec<CellResult> {
 /// the effect wall clocks are supposed to show. The simulator restores
 /// the paper's working-set-to-cache ratio (DESIGN.md §3).
 pub fn run_grid_sim(cfg: &GridConfig) -> Vec<CellResult> {
-    let orderings: Vec<Box<dyn OrderingAlgorithm>> =
-        selected(cfg.ordering_pool(), &cfg.orderings, |o| o.name());
-    let algo_names: Vec<&'static str> = {
-        let mut all: Vec<&'static str> = gorder_cachesim::trace::TRACED_ALGOS.to_vec();
-        if cfg.extended {
-            all.extend(gorder_cachesim::trace::TRACED_EXTENSIONS);
-        }
-        match &cfg.algos {
-            None => all,
-            Some(keep) => all
-                .into_iter()
-                .filter(|a| keep.iter().any(|k| k == a))
-                .collect(),
-        }
-    };
+    let orderings = selected(cfg.ordering_pool(), &cfg.orderings);
+    let algo_names = cfg.algo_names();
     let base = cfg.run_ctx();
     // Replays cost ~40× native, so trim the heavy iteration counts.
     let tctx_base = TraceCtx {
@@ -220,8 +237,8 @@ pub fn run_grid_sim(cfg: &GridConfig) -> Vec<CellResult> {
             };
             for &name in &algo_names {
                 let mut tracer = Tracer::new(CacheHierarchy::new(&hconfig));
-                let (checksum, stats) = replay_with_stats(name, &rg, &mut tracer, &tctx)
-                    .expect("TRACED_ALGOS entries all have replayers");
+                let (checksum, stats) =
+                    replay_with_stats(name, &rg, &mut tracer, &tctx).expect("engine kernel label");
                 let cycles = tracer.breakdown(&model).total();
                 cells.push(CellResult {
                     dataset: d.name.to_string(),

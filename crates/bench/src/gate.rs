@@ -27,10 +27,10 @@ use crate::fmt::Table;
 use crate::schema::GATE_DELTA_HEADER;
 use crate::stats::paired_stats;
 use crate::timing::time_once;
-use gorder_algos::{ExecPlan, KernelStats, RunCtx};
 use gorder_cachesim::trace::{replay_with_stats, TraceCtx};
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, Tracer};
 use gorder_core::budget::Budget;
+use gorder_engine::{ExecPlan, KernelCtx, KernelStats};
 use gorder_graph::datasets;
 use gorder_obs::json::{parse_object, parse_string};
 use gorder_obs::{GateEvent, OrderEvent, RunManifest, TraceEvent, SCHEMA_VERSION};
@@ -93,7 +93,8 @@ pub struct GateConfig {
     /// Ordering names (resolved via the extended registry). Wall mode
     /// requires `"Original"` among them — it is the A side of every pair.
     pub orderings: Vec<String>,
-    /// Kernel names (sim: replayer names; wall: `gorder_algos` names).
+    /// Kernel names, resolved case-insensitively through the engine's
+    /// name tables (the same set in both modes).
     pub algos: Vec<String>,
     /// Wall mode: interleaved A/B sample pairs kept per cell.
     pub pairs: u32,
@@ -191,15 +192,11 @@ pub fn run_gate(cfg: &GateConfig) -> Result<GateReport, String> {
     for name in &cfg.orderings {
         cfg.ordering_named(name)?;
     }
-    for name in &cfg.algos {
-        let known = match cfg.mode {
-            GateMode::Sim => gorder_cachesim::trace::TRACED_ALGOS.contains(&name.as_str()),
-            GateMode::Wall => gorder_algos::by_name(name).is_some(),
-        };
-        if !known {
-            return Err(format!("unknown algorithm {name:?}"));
-        }
-    }
+    let algos = cfg
+        .algos
+        .iter()
+        .map(|name| crate::resolve_algo(name))
+        .collect::<Result<Vec<_>, _>>()?;
     if cfg.mode == GateMode::Wall && !cfg.orderings.iter().any(|o| o == "Original") {
         return Err("wall mode needs \"Original\" among --orderings (it is the A side)".into());
     }
@@ -242,8 +239,12 @@ pub fn run_gate(cfg: &GateConfig) -> Result<GateReport, String> {
             layouts.push((oname.clone(), run.perm));
         }
         match cfg.mode {
-            GateMode::Sim => sim_cells(cfg, dname, &g, logical_source, &layouts, &mut cells),
-            GateMode::Wall => wall_cells(cfg, dname, &g, logical_source, &layouts, &mut cells),
+            GateMode::Sim => {
+                sim_cells(cfg, &algos, dname, &g, logical_source, &layouts, &mut cells)
+            }
+            GateMode::Wall => {
+                wall_cells(cfg, &algos, dname, &g, logical_source, &layouts, &mut cells)
+            }
         }
     }
     Ok(GateReport {
@@ -255,6 +256,7 @@ pub fn run_gate(cfg: &GateConfig) -> Result<GateReport, String> {
 
 fn sim_cells(
     cfg: &GateConfig,
+    algos: &[&'static str],
     dname: &str,
     g: &gorder_graph::Graph,
     logical_source: u32,
@@ -271,17 +273,17 @@ fn sim_cells(
             diameter_samples: SIM_DIAMETER_SAMPLES,
             seed: cfg.seed,
         };
-        for algo in &cfg.algos {
+        for &algo in algos {
             let mut tracer = Tracer::new(CacheHierarchy::new(&hconfig));
             tracer.enable_reuse_tracking();
-            let (checksum, kstats) = replay_with_stats(algo, &rg, &mut tracer, &tctx)
-                .expect("algo names validated against TRACED_ALGOS");
+            let (checksum, kstats) =
+                replay_with_stats(algo, &rg, &mut tracer, &tctx).expect("algo names resolved");
             let c = tracer.counters();
             cells.push(GateEvent {
                 mode: "sim".into(),
                 dataset: dname.to_string(),
                 ordering: oname.clone(),
-                algo: algo.clone(),
+                algo: algo.to_string(),
                 checksum,
                 iterations: kstats.iterations,
                 edges_relaxed: kstats.edges_relaxed,
@@ -304,6 +306,7 @@ fn sim_cells(
 
 fn wall_cells(
     cfg: &GateConfig,
+    algos: &[&'static str],
     dname: &str,
     g: &gorder_graph::Graph,
     logical_source: u32,
@@ -316,25 +319,29 @@ fn wall_cells(
         .expect("wall mode validated Original is present");
     let og = g.relabel(operm);
     let plan = ExecPlan::with_threads(1);
-    let base_ctx = RunCtx {
+    let base_ctx = KernelCtx {
         source: None,
         pr_iterations: WALL_PR_ITERATIONS,
         damping: 0.85,
         diameter_samples: WALL_DIAMETER_SAMPLES,
         seed: cfg.seed,
     };
-    let actx = RunCtx {
+    let actx = KernelCtx {
         source: Some(operm.apply(logical_source)),
         ..base_ctx.clone()
     };
     for (oname, perm) in layouts.iter().filter(|(n, _)| n != "Original") {
         let rg = g.relabel(perm);
-        let bctx = RunCtx {
+        let bctx = KernelCtx {
             source: Some(perm.apply(logical_source)),
             ..base_ctx.clone()
         };
-        for algo in &cfg.algos {
-            let a = gorder_algos::by_name(algo).expect("algo names validated");
+        for &algo in algos {
+            let run = |g: &gorder_graph::Graph, ctx: &KernelCtx| {
+                let run = gorder_engine::run_by_name_plan(algo, g, ctx, plan)
+                    .expect("algo names resolved");
+                (run.checksum, run.stats)
+            };
             let mut t_orig = Vec::new();
             let mut t_ord = Vec::new();
             let mut checksum = 0u64;
@@ -342,8 +349,8 @@ fn wall_cells(
             for i in 0..cfg.warmup + cfg.pairs {
                 // Interleaved A then B: slow drift (thermal, neighbours)
                 // lands on both sides of every pair.
-                let (sa, _) = time_once(|| a.run_stats_plan(&og, &actx, plan));
-                let (sb, (cb, sb_stats)) = time_once(|| a.run_stats_plan(&rg, &bctx, plan));
+                let (sa, _) = time_once(|| run(&og, &actx));
+                let (sb, (cb, sb_stats)) = time_once(|| run(&rg, &bctx));
                 checksum = cb;
                 kstats = sb_stats;
                 if i >= cfg.warmup {
@@ -358,7 +365,7 @@ fn wall_cells(
                 mode: "wall".into(),
                 dataset: dname.to_string(),
                 ordering: oname.clone(),
-                algo: algo.clone(),
+                algo: algo.to_string(),
                 checksum,
                 iterations: kstats.iterations,
                 edges_relaxed: kstats.edges_relaxed,
@@ -1029,8 +1036,24 @@ mod tests {
         let mut cfg = tiny(GateMode::Sim);
         cfg.orderings = vec!["nope".into()];
         assert!(run_gate(&cfg).unwrap_err().contains("unknown ordering"));
-        let mut cfg = tiny(GateMode::Sim);
-        cfg.algos = vec!["WCC+".into()];
-        assert!(run_gate(&cfg).unwrap_err().contains("unknown algorithm"));
+        for mode in [GateMode::Sim, GateMode::Wall] {
+            let mut cfg = tiny(mode);
+            cfg.algos = vec!["WCC+".into()];
+            let err = run_gate(&cfg).unwrap_err();
+            assert!(err.contains("unknown algorithm"), "{err}");
+            assert!(err.contains("did you mean \"WCC\""), "{err}");
+        }
+    }
+
+    #[test]
+    fn sim_and_wall_accept_the_same_names() {
+        for mode in [GateMode::Sim, GateMode::Wall] {
+            let mut cfg = tiny(mode);
+            cfg.algos = vec!["wcc".into(), "Tri".into()];
+            cfg.pairs = 1;
+            let report = run_gate(&cfg).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+            let algos: Vec<&str> = report.cells.iter().map(|c| c.algo.as_str()).collect();
+            assert_eq!(&algos[..2], ["WCC", "Tri"], "{mode:?}: canonical labels");
+        }
     }
 }

@@ -166,7 +166,7 @@ mod tests {
             ordering: ord.into(),
             seconds: secs,
             checksum: 0,
-            stats: gorder_algos::KernelStats::default(),
+            stats: gorder_engine::KernelStats::default(),
         }
     }
 

@@ -12,10 +12,10 @@
 
 use crate::experiment::{CellResult, GridConfig};
 use crate::timing::median_secs;
-use gorder_algos::{GraphAlgorithm, KernelStats, RunCtx};
 use gorder_cachesim::trace::{replay_with_stats, TraceCtx};
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder_core::budget::{Budget, DegradeReason, ExecOutcome};
+use gorder_engine::{KernelCtx, KernelStats};
 use gorder_graph::Graph;
 use gorder_obs::OrderEvent;
 use gorder_orders::{run_ordering, CacheKey, ExecPlan, OrderCache, OrderingAlgorithm, OrderingRun};
@@ -488,30 +488,15 @@ fn grid_with_recovery(
     mut hooks: Option<&mut OrderHooks<'_>>,
     on_cell: &mut dyn FnMut(&RobustCell),
 ) -> SweepReport {
-    let algos: Vec<Arc<dyn GraphAlgorithm>> = if cfg.extended {
-        gorder_algos::extended()
-    } else {
-        gorder_algos::all()
-    }
-    .into_iter()
-    .filter(|a| match &cfg.algos {
-        None => true,
-        Some(keep) => keep.iter().any(|k| k == a.name()),
-    })
-    .map(Arc::from)
-    .collect();
+    let algos = cfg.algo_names();
     let base_ctx = cfg.run_ctx();
     let mut report = SweepReport::default();
     for d in &cfg.datasets {
         // built lazily: a fully recovered dataset is never constructed
         let mut built: Option<(Arc<Graph>, u32)> = None;
         for o in &orderings {
-            let rec_cells: Option<Vec<CellResult>> = recovered.and_then(|rec| {
-                algos
-                    .iter()
-                    .map(|a| rec(d.name, o.name(), a.name()))
-                    .collect()
-            });
+            let rec_cells: Option<Vec<CellResult>> =
+                recovered.and_then(|rec| algos.iter().map(|a| rec(d.name, o.name(), a)).collect());
             if let Some(cells) = rec_cells {
                 for result in cells {
                     emit(
@@ -563,7 +548,7 @@ fn grid_with_recovery(
                             &mut report,
                             on_cell,
                             RobustCell {
-                                result: blank(a.name()),
+                                result: blank(a),
                                 status: CellStatus::TimedOut,
                             },
                         );
@@ -577,7 +562,7 @@ fn grid_with_recovery(
                             &mut report,
                             on_cell,
                             RobustCell {
-                                result: blank(a.name()),
+                                result: blank(a),
                                 status: CellStatus::Failed(msg.clone()),
                             },
                         );
@@ -597,7 +582,7 @@ fn grid_with_recovery(
                         &mut report,
                         on_cell,
                         RobustCell {
-                            result: blank(a.name()),
+                            result: blank(a),
                             status: CellStatus::Failed(msg.clone()),
                         },
                     );
@@ -607,11 +592,11 @@ fn grid_with_recovery(
             }
             let rg = Arc::new(g.relabel(&perm));
             let mapped_source = perm.apply(logical_source);
-            for a in &algos {
+            for &a in &algos {
                 let cell = run_algo_cell(cfg, &base_ctx, a, &rg, mapped_source, timeout, sim);
                 let status = match cell {
                     ExecOutcome::Completed((seconds, checksum, stats)) => {
-                        let mut result = blank(a.name());
+                        let mut result = blank(a);
                         result.seconds = seconds;
                         result.checksum = checksum;
                         result.stats = stats;
@@ -633,7 +618,7 @@ fn grid_with_recovery(
                     &mut report,
                     on_cell,
                     RobustCell {
-                        result: blank(a.name()),
+                        result: blank(a),
                         status,
                     },
                 );
@@ -652,14 +637,13 @@ fn grid_with_recovery(
 /// replay, on a watchdog thread.
 fn run_algo_cell(
     cfg: &GridConfig,
-    base_ctx: &RunCtx,
-    a: &Arc<dyn GraphAlgorithm>,
+    base_ctx: &KernelCtx,
+    a: &'static str,
     rg: &Arc<Graph>,
     mapped_source: u32,
     timeout: Option<Duration>,
     sim: bool,
 ) -> ExecOutcome<(f64, u64, KernelStats)> {
-    let a = Arc::clone(a);
     let rg = Arc::clone(rg);
     if sim {
         let tctx = TraceCtx {
@@ -674,16 +658,13 @@ fn run_algo_cell(
             // sleep never touches the modelled (simulated) seconds
             gorder_obs::faults::slow_cell("bench.cell");
             let mut tracer = Tracer::new(CacheHierarchy::new(&HierarchyConfig::scaled_down()));
-            match replay_with_stats(a.name(), &rg, &mut tracer, &tctx) {
-                Some((checksum, stats)) => {
-                    let cycles = tracer.breakdown(&StallModel::skylake()).total();
-                    ExecOutcome::Completed((cycles / 4e9, checksum, stats))
-                }
-                None => ExecOutcome::Failed(format!("no cache-sim replayer for {}", a.name())),
-            }
+            let (checksum, stats) =
+                replay_with_stats(a, &rg, &mut tracer, &tctx).expect("engine kernel label");
+            let cycles = tracer.breakdown(&StallModel::skylake()).total();
+            ExecOutcome::Completed((cycles / 4e9, checksum, stats))
         })
     } else {
-        let ctx = RunCtx {
+        let ctx = KernelCtx {
             source: Some(mapped_source),
             ..base_ctx.clone()
         };
@@ -694,7 +675,7 @@ fn run_algo_cell(
             let mut stats = KernelStats::default();
             let (secs, checksum) = median_secs(
                 || {
-                    let (checksum, s) = a.run_stats_plan(&rg, &ctx, plan);
+                    let (checksum, s) = crate::experiment::run_kernel(a, &rg, &ctx, plan);
                     stats = s;
                     checksum
                 },

@@ -15,14 +15,14 @@
 //!   footnote (L1 4 cy, L2 12 cy, L3 42 cy, DRAM ≈ 62 ns);
 //! * [`tracer::Tracer`] — virtual address space for the graph's CSR
 //!   arrays and the algorithms' property arrays;
-//! * [`trace`] — one replayer per benchmark algorithm that performs the
-//!   real computation while feeding every data reference through the
-//!   hierarchy.
+//! * [`trace`] — a tracing probe that runs any `gorder-engine` kernel
+//!   (the real computation) while feeding every data reference through
+//!   the hierarchy.
 //!
-//! Because the replayers walk the same CSR arrays in the same order as
-//! `gorder-algos`, a node reordering changes the simulated address stream
-//! exactly as it would change the hardware one — which is all the paper's
-//! Tables 3–4 and Figure 1 measure.
+//! Because the traced run *is* the timed kernel, walking the same CSR
+//! arrays in the same order, a node reordering changes the simulated
+//! address stream exactly as it would change the hardware one — which is
+//! all the paper's Tables 3–4 and Figure 1 measure.
 
 pub mod hierarchy;
 pub mod level;

@@ -1,38 +1,29 @@
-//! Per-algorithm memory-access replayers, driven by the engine.
+//! Per-kernel memory-access replay, driven by the engine.
 //!
-//! The nine paper kernels live in `gorder-engine`; this module plugs a
+//! All thirteen kernels — the paper's nine and the four extensions
+//! (DESIGN.md §8) — live in `gorder-engine`; this module plugs a
 //! [`TracerProbe`] into them, so the *same* kernel code that produces
 //! wall-clock numbers also drives the cache model — same loops, same
 //! tie-breaks, same checksum (the test suites assert checksum equality
-//! against `gorder-algos`, which wraps the identical kernels). CSR
-//! arrays and property arrays are laid out by the tracer's bump
-//! allocator exactly as consecutively allocated `Vec`s would be.
-//!
-//! The extension replayers (WCC, Tri, LP, BC — DESIGN.md §8) predate the
-//! engine and keep their hand-rolled form in the private `extension`
-//! submodule (re-exported here as [`wcc`], [`triangles`], [`labelprop`],
-//! [`betweenness`]).
+//! against the `NoProbe` run). CSR arrays and property arrays are laid
+//! out by the tracer's bump allocator exactly as consecutively allocated
+//! `Vec`s would be.
 //!
 //! Instruction fetch and stack spill traffic are not modelled; the paper's
 //! counters likewise focus on data cache (`L1-dcache-loads`, `LLC-loads`).
 
-mod extension;
-
-pub use extension::{betweenness, labelprop, triangles, wcc};
-
-/// Run parameters — the engine's context, shared with `gorder-algos`
-/// (which re-exports it as `RunCtx`). No longer duplicated per crate.
+/// Run parameters — the engine's context (the facade's `RunCtx`).
 pub use gorder_engine::KernelCtx as TraceCtx;
+
+/// The paper kernels, in paper order — the engine's name table.
+pub use gorder_engine::PAPER_KERNELS as TRACED_ALGOS;
+
+/// The extension kernels (DESIGN.md §8) — the engine's name table.
+pub use gorder_engine::EXTENSION_KERNELS as TRACED_EXTENSIONS;
 
 use crate::tracer::{Tracer, VArray};
 use gorder_engine::{KernelStats, Probe, Slot};
-use gorder_graph::{Graph, NodeId};
-
-/// The algorithm labels with replayers, in paper order.
-pub const TRACED_ALGOS: [&str; 9] = ["NQ", "BFS", "DFS", "SCC", "SP", "PR", "DS", "Kcore", "Diam"];
-
-/// The extension algorithms with replayers (DESIGN.md §8).
-pub const TRACED_EXTENSIONS: [&str; 4] = ["WCC", "Tri", "LP", "BC"];
+use gorder_graph::Graph;
 
 /// An engine [`Probe`] that forwards every kernel memory access into a
 /// [`Tracer`]'s cache hierarchy.
@@ -78,127 +69,29 @@ impl Probe for TracerProbe<'_> {
     }
 }
 
-fn traced(name: &str, g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    gorder_engine::run_probed(name, g, ctx, TracerProbe::new(t))
-        .unwrap_or_else(|| panic!("{name} is a registered engine kernel"))
-        .checksum
-}
-
-/// Replays NQ (neighbour query) through the cache model.
-pub fn nq(g: &Graph, t: &mut Tracer) -> u64 {
-    traced("NQ", g, t, &TraceCtx::default())
-}
-
-/// Replays BFS through the cache model.
-pub fn bfs(g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    traced("BFS", g, t, ctx)
-}
-
-/// Replays DFS through the cache model.
-pub fn dfs(g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    traced("DFS", g, t, ctx)
-}
-
-/// Replays SCC (Tarjan) through the cache model.
-pub fn scc(g: &Graph, t: &mut Tracer) -> u64 {
-    traced("SCC", g, t, &TraceCtx::default())
-}
-
-/// Replays SP (round-based Bellman–Ford) through the cache model.
-pub fn sp(g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    traced("SP", g, t, ctx)
-}
-
-/// Replays PR (power-iteration PageRank) through the cache model.
-pub fn pagerank(g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    traced("PR", g, t, ctx)
-}
-
-/// Replays DS (greedy dominating set) through the cache model.
-pub fn ds(g: &Graph, t: &mut Tracer) -> u64 {
-    traced("DS", g, t, &TraceCtx::default())
-}
-
-/// Replays Kcore (bucket-queue peeling) through the cache model.
-pub fn kcore(g: &Graph, t: &mut Tracer) -> u64 {
-    traced("Kcore", g, t, &TraceCtx::default())
-}
-
-/// Replays Diam (sampled eccentricities) through the cache model.
-pub fn diam(g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    traced("Diam", g, t, ctx)
-}
-
-/// Dispatches a replayer by its paper label, returning the checksum and
-/// the engine's per-kernel statistics. Extension replayers are not
-/// engine kernels and report [`KernelStats::default`]. Returns `None`
-/// for an unknown label.
+/// Replays the kernel labelled `name` (case-insensitive) through the
+/// cache model, returning the checksum and the engine's per-kernel
+/// statistics, or `None` for an unknown label.
 pub fn replay_with_stats(
     name: &str,
     g: &Graph,
     t: &mut Tracer,
     ctx: &TraceCtx,
 ) -> Option<(u64, KernelStats)> {
-    if gorder_engine::is_kernel(name) {
-        let run = gorder_engine::run_probed(name, g, ctx, TracerProbe::new(t))?;
-        return Some((run.checksum, run.stats));
-    }
-    let checksum = match name {
-        "WCC" => wcc(g, t),
-        "Tri" => triangles(g, t),
-        "LP" => labelprop(g, t),
-        "BC" => betweenness(g, t, ctx),
-        _ => return None,
-    };
-    Some((checksum, KernelStats::default()))
+    let run = gorder_engine::run_probed(name, g, ctx, TracerProbe::new(t))?;
+    Some((run.checksum, run.stats))
 }
 
-/// Dispatches a replayer by its paper label. Returns the checksum, or
-/// `None` for an unknown label.
+/// Replays the kernel labelled `name` through the cache model. Returns
+/// the checksum, or `None` for an unknown label.
 pub fn replay(name: &str, g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> Option<u64> {
     replay_with_stats(name, g, t, ctx).map(|(checksum, _)| checksum)
 }
 
-/// The four CSR arrays of a graph, allocated in the tracer's address
-/// space. Offsets are `u64` (8 B), targets `u32` (4 B), matching
-/// `gorder_graph::Graph`'s real layout. Used by the hand-rolled
-/// extension replayers; the nine paper kernels get the equivalent via
-/// `gorder_engine::GraphSlots` + [`TracerProbe`].
-pub(crate) struct GraphArrays {
-    pub out_off: VArray,
-    pub out_tgt: VArray,
-    pub in_off: VArray,
-    pub in_tgt: VArray,
-}
-
-impl GraphArrays {
-    pub fn new(t: &mut Tracer, g: &Graph) -> Self {
-        let n = g.n() as usize;
-        let m = g.m() as usize;
-        GraphArrays {
-            out_off: t.alloc(n + 1, 8),
-            out_tgt: t.alloc(m, 4),
-            in_off: t.alloc(n + 1, 8),
-            in_tgt: t.alloc(m, 4),
-        }
-    }
-
-    /// Touches the offset pair bounding `u`'s out-list and returns the
-    /// list plus its global CSR base index.
-    pub fn out_list<'g>(&self, t: &mut Tracer, g: &'g Graph, u: NodeId) -> (&'g [NodeId], usize) {
-        t.touch(&self.out_off, u as usize);
-        t.touch(&self.out_off, u as usize + 1);
-        let (off, _) = g.out_csr();
-        (g.out_neighbors(u), off[u as usize] as usize)
-    }
-
-    /// Same for the in-list.
-    pub fn in_list<'g>(&self, t: &mut Tracer, g: &'g Graph, u: NodeId) -> (&'g [NodeId], usize) {
-        t.touch(&self.in_off, u as usize);
-        t.touch(&self.in_off, u as usize + 1);
-        let (off, _) = g.in_csr();
-        (g.in_neighbors(u), off[u as usize] as usize)
-    }
+/// Replays PR (power-iteration PageRank), the kernel most experiments
+/// profile, through the cache model.
+pub fn pagerank(g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
+    replay("PR", g, t, ctx).expect("PR is a kernel")
 }
 
 #[cfg(test)]
@@ -208,6 +101,11 @@ mod tests {
 
     fn tracer() -> Tracer {
         Tracer::new(CacheHierarchy::xeon_e5())
+    }
+
+    /// Checksum of `name` replayed on a fresh tracer.
+    fn replayed(name: &str, g: &Graph, ctx: &TraceCtx) -> u64 {
+        replay(name, g, &mut tracer(), ctx).unwrap()
     }
 
     fn g() -> Graph {
@@ -221,6 +119,7 @@ mod tests {
         for name in TRACED_EXTENSIONS {
             let mut t = tracer();
             assert!(replay(name, &g, &mut t, &ctx).is_some(), "{name}");
+            assert!(t.stats().l1_refs > 0, "{name} produced no references");
         }
     }
 
@@ -249,15 +148,13 @@ mod tests {
             diameter_samples: 2,
             ..Default::default()
         };
-        for name in TRACED_ALGOS {
+        for name in TRACED_ALGOS.into_iter().chain(TRACED_EXTENSIONS) {
             let mut t = tracer();
             let (_, stats) = replay_with_stats(name, &g, &mut t, &ctx).unwrap();
             assert!(stats.iterations > 0, "{name} reported no iterations");
+            assert!(stats.edges_relaxed > 0, "{name} reported no edges");
+            assert_eq!(stats.threads_used, 1, "{name}: traced runs are serial");
         }
-        // extensions dispatch but carry default stats
-        let mut t = tracer();
-        let (_, stats) = replay_with_stats("WCC", &g, &mut t, &ctx).unwrap();
-        assert_eq!(stats.iterations, 0);
     }
 
     #[test]
@@ -282,40 +179,36 @@ mod tests {
                     .map(|&v| u64::from(gg.out_degree(v)))
             })
             .sum();
-        let mut t = tracer();
-        assert_eq!(nq(&gg, &mut t), expected);
+        assert_eq!(replayed("NQ", &gg, &TraceCtx::default()), expected);
     }
 
     #[test]
     fn bfs_checksum_path() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let mut t = tracer();
         let ctx = TraceCtx {
             source: Some(0),
             ..Default::default()
         };
         // primary_reached = 4, depths sum = 0+1+2+3 = 6 → 10
-        assert_eq!(bfs(&g, &mut t, &ctx), 10);
+        assert_eq!(replayed("BFS", &g, &ctx), 10);
     }
 
     #[test]
     fn dfs_checksum_matches_formula() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let mut t = tracer();
         let ctx = TraceCtx {
             source: Some(0),
             ..Default::default()
         };
         let expected = 4u64.wrapping_mul(0x9E3779B97F4A7C15) ^ 3;
-        assert_eq!(dfs(&g, &mut t, &ctx), expected);
+        assert_eq!(replayed("DFS", &g, &ctx), expected);
     }
 
     #[test]
     fn scc_checksum_two_components() {
         // 3-cycle + 2-cycle: count 2, Σ size² = 9 + 4 → 15
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)]);
-        let mut t = tracer();
-        assert_eq!(scc(&g, &mut t), 15);
+        assert_eq!(replayed("SCC", &g, &TraceCtx::default()), 15);
     }
 
     #[test]
@@ -323,7 +216,7 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (3, 4), (2, 4)]);
         let ctx = TraceCtx::default();
         let mut t = tracer();
-        bfs(&g, &mut t, &ctx);
+        replay("BFS", &g, &mut t, &ctx);
         // at least one target read per edge
         assert!(t.stats().l1_refs >= g.m());
     }
@@ -331,25 +224,23 @@ mod tests {
     #[test]
     fn sp_eccentricity_path() {
         let gg = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let mut t = tracer();
         let ctx = TraceCtx {
             source: Some(0),
             ..Default::default()
         };
         // Σ (dist + 1) = (0+1)+(1+1)+(2+1)+(3+1) = 10
-        assert_eq!(sp(&gg, &mut t, &ctx), 10);
+        assert_eq!(replayed("SP", &gg, &ctx), 10);
     }
 
     #[test]
     fn diam_on_cycle() {
-        let edges: Vec<(NodeId, NodeId)> = (0..8u32).map(|u| (u, (u + 1) % 8)).collect();
+        let edges: Vec<(u32, u32)> = (0..8u32).map(|u| (u, (u + 1) % 8)).collect();
         let gg = Graph::from_edges(8, &edges);
-        let mut t = tracer();
         let ctx = TraceCtx {
             diameter_samples: 3,
             ..Default::default()
         };
-        assert_eq!(diam(&gg, &mut t, &ctx), 7);
+        assert_eq!(replayed("Diam", &gg, &ctx), 7);
     }
 
     #[test]
@@ -391,28 +282,24 @@ mod tests {
     #[test]
     fn ds_star_is_one() {
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let mut t = tracer();
-        assert_eq!(ds(&g, &mut t), 1);
+        assert_eq!(replayed("DS", &g, &TraceCtx::default()), 1);
     }
 
     #[test]
     fn ds_isolated_count() {
         let g = Graph::empty(4);
-        let mut t = tracer();
-        assert_eq!(ds(&g, &mut t), 4);
+        assert_eq!(replayed("DS", &g, &TraceCtx::default()), 4);
     }
 
     #[test]
     fn kcore_triangle_checksum() {
         // all three nodes have core 2 → Σ core² = 12
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        let mut t = tracer();
-        assert_eq!(kcore(&g, &mut t), 12);
+        assert_eq!(replayed("Kcore", &g, &TraceCtx::default()), 12);
     }
 
     #[test]
     fn kcore_empty() {
-        let mut t = tracer();
-        assert_eq!(kcore(&Graph::empty(0), &mut t), 0);
+        assert_eq!(replayed("Kcore", &Graph::empty(0), &TraceCtx::default()), 0);
     }
 }

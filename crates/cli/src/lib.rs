@@ -17,11 +17,11 @@
 //! Formats are chosen by extension: `.mtx` Matrix Market, `.bin` the
 //! compact binary format, anything else a whitespace edge list.
 
-use gorder_algos::{ExecPlan, KernelStats, RunCtx};
 use gorder_cachesim::trace::{replay_with_stats, TraceCtx};
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder_core::budget::{Budget, DegradeReason, ExecOutcome};
 use gorder_core::GorderBuilder;
+use gorder_engine::{ExecPlan, KernelCtx, KernelStats};
 use gorder_graph::io::GraphIoError;
 use gorder_graph::stats::{degree_gini, GraphStats};
 use gorder_graph::Permutation;
@@ -102,8 +102,8 @@ pub struct CmdOutput {
 /// shared `gorder_obs::json` writer (same escaper and number formatting
 /// as the trace sink, so the two surfaces never drift).
 ///
-/// `engine` is true for the nine engine-backed kernels, whose counters
-/// are real; extension algorithms report zeroed stats.
+/// `engine` is always true: every kernel runs on the engine, so every
+/// counter is real. The key stays so stats consumers keep one schema.
 fn stats_json_line(
     algo: &str,
     ordering: Option<&str>,
@@ -116,7 +116,7 @@ fn stats_json_line(
         .opt_str("ordering", ordering)
         .u64("checksum", checksum)
         .f64("seconds", seconds)
-        .bool("engine", gorder_engine::is_kernel(algo))
+        .bool("engine", true)
         .u64("iterations", stats.iterations)
         .u64("edges_relaxed", stats.edges_relaxed)
         .u64("frontier_pushes", stats.frontier_pushes)
@@ -141,13 +141,7 @@ fn kernel_trace_event(
     threads: u32,
     stats: &KernelStats,
 ) -> gorder_obs::TraceEvent {
-    let engine = if !gorder_engine::is_kernel(algo) {
-        "extension"
-    } else if threads > 1 {
-        "parallel"
-    } else {
-        "serial"
-    };
+    let engine = if threads > 1 { "parallel" } else { "serial" };
     gorder_obs::TraceEvent::Kernel(gorder_obs::KernelEvent {
         algo: algo.to_string(),
         ordering: ordering.unwrap_or("Original").to_string(),
@@ -274,9 +268,20 @@ pub fn ordering_names() -> Vec<&'static str> {
         .collect()
 }
 
-/// Names of every algorithm the CLI accepts.
+/// Names of every algorithm the CLI accepts: the engine's name tables.
 pub fn algorithm_names() -> Vec<&'static str> {
-    gorder_algos::extended().iter().map(|a| a.name()).collect()
+    gorder_engine::all_kernel_names().collect()
+}
+
+/// Resolves an algorithm name (case-insensitive) to its canonical
+/// label, or a usage error listing the known ones.
+fn resolve_algorithm(algo: &str) -> Result<&'static str, CliError> {
+    gorder_engine::canonical_name(algo).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown algorithm {algo:?}; known: {:?}",
+            algorithm_names()
+        ))
+    })
 }
 
 /// `stats` subcommand: one human-readable block.
@@ -491,37 +496,23 @@ pub fn run_algorithm_budgeted(
     timeout: Option<Duration>,
     threads: u32,
 ) -> Result<CmdOutput, CliError> {
-    let a = gorder_algos::by_name(algo).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown algorithm {algo:?}; known: {:?}",
-            algorithm_names()
-        ))
-    })?;
+    let name = resolve_algorithm(algo)?;
     let (graph, note, degraded) = ordered_graph(g, ordering, window, seed, timeout)?;
-    let ctx = RunCtx {
+    let ctx = KernelCtx {
         seed,
         ..Default::default()
     };
     let t = std::time::Instant::now();
-    let (checksum, stats) = a.run_stats_plan(&graph, &ctx, ExecPlan::with_threads(threads));
+    let run = gorder_engine::run_by_name_plan(name, &graph, &ctx, ExecPlan::with_threads(threads))
+        .expect("resolved kernel name");
     let seconds = t.elapsed().as_secs_f64();
+    let (checksum, stats) = (run.checksum, run.stats);
     Ok(CmdOutput {
         report: format!("{algo} over {note}: checksum {checksum:#x} in {seconds:.3}s"),
         degraded,
-        stats_json: Some(stats_json_line(
-            a.name(),
-            ordering,
-            checksum,
-            seconds,
-            &stats,
-        )),
+        stats_json: Some(stats_json_line(name, ordering, checksum, seconds, &stats)),
         trace_events: vec![kernel_trace_event(
-            a.name(),
-            ordering,
-            checksum,
-            seconds,
-            threads,
-            &stats,
+            name, ordering, checksum, seconds, threads, &stats,
         )],
     })
 }
@@ -550,6 +541,7 @@ pub fn simulate_algorithm_budgeted(
     seed: u64,
     timeout: Option<Duration>,
 ) -> Result<CmdOutput, CliError> {
+    let name = resolve_algorithm(algo)?;
     let (graph, note, degraded) = ordered_graph(g, ordering, window, seed, timeout)?;
     let ctx = TraceCtx {
         pr_iterations: 5,
@@ -560,12 +552,7 @@ pub fn simulate_algorithm_budgeted(
     let mut tracer = Tracer::new(CacheHierarchy::new(&HierarchyConfig::scaled_down()));
     let t = std::time::Instant::now();
     let (checksum, stats) =
-        replay_with_stats(algo, &graph, &mut tracer, &ctx).ok_or_else(|| {
-            CliError::Usage(format!(
-                "no replayer for {algo:?}; known: {:?}",
-                algorithm_names()
-            ))
-        })?;
+        replay_with_stats(name, &graph, &mut tracer, &ctx).expect("resolved kernel name");
     let seconds = t.elapsed().as_secs_f64();
     let s = tracer.stats();
     let b = tracer.breakdown(&StallModel::skylake());
@@ -578,9 +565,9 @@ pub fn simulate_algorithm_budgeted(
             b.stall_fraction() * 100.0
         ),
         degraded,
-        stats_json: Some(stats_json_line(algo, ordering, checksum, seconds, &stats)),
+        stats_json: Some(stats_json_line(name, ordering, checksum, seconds, &stats)),
         trace_events: vec![kernel_trace_event(
-            algo, ordering, checksum, seconds, 1, &stats,
+            name, ordering, checksum, seconds, 1, &stats,
         )],
     })
 }
@@ -782,10 +769,13 @@ mod tests {
         // simulate fixes pr_iterations at 5
         assert_eq!(obj["iterations"], "5");
 
-        let out = simulate_algorithm_budgeted(&g, "WCC", None, 5, 1, None).unwrap();
+        // Extensions run on the engine too: real counters, canonical name.
+        let out = simulate_algorithm_budgeted(&g, "wcc", None, 5, 1, None).unwrap();
         let obj = parse_json_object(&out.stats_json.unwrap()).unwrap();
-        assert_eq!(obj["engine"], "false");
-        assert_eq!(obj["iterations"], "0");
+        assert_eq!(obj["algo"], "\"WCC\"");
+        assert_eq!(obj["engine"], "true");
+        assert_eq!(obj["iterations"], "1", "one component");
+        assert_eq!(obj["edges_relaxed"], (2 * g.m()).to_string());
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub struct BfsResult {
 
 /// BFS as an engine kernel; one `iterate` is one frontier level (or one
 /// restart-tree seeding when the current level is empty).
+#[derive(Default)]
 pub struct BfsKernel {
     gs: Option<GraphSlots>,
     depth_slot: Slot,
@@ -42,22 +43,6 @@ pub struct BfsKernel {
 }
 
 impl BfsKernel {
-    /// A kernel ready for `init`.
-    pub fn new() -> Self {
-        BfsKernel {
-            gs: None,
-            depth_slot: Slot::new(0),
-            order_slot: Slot::new(0),
-            depth: Vec::new(),
-            frontier: Frontier::new(),
-            next_start: 0,
-            tree_start: 0,
-            primary_tree_open: false,
-            primary_reached: 0,
-            done: false,
-        }
-    }
-
     /// The traversal result (after the run).
     pub fn into_result(self) -> BfsResult {
         BfsResult {
@@ -65,12 +50,6 @@ impl BfsKernel {
             order: self.frontier.into_items(),
             primary_reached: self.primary_reached,
         }
-    }
-}
-
-impl Default for BfsKernel {
-    fn default() -> Self {
-        BfsKernel::new()
     }
 }
 
@@ -231,7 +210,7 @@ pub fn bfs(g: &Graph, source: NodeId) -> BfsResult {
 /// [`bfs`] under an explicit [`ExecPlan`]; depths, visit order, and
 /// counters are identical to the serial run for every plan.
 pub fn bfs_with_plan(g: &Graph, source: NodeId, plan: ExecPlan) -> BfsResult {
-    let mut kernel = BfsKernel::new();
+    let mut kernel = BfsKernel::default();
     let ctx = KernelCtx {
         source: Some(source),
         ..Default::default()
@@ -322,5 +301,19 @@ mod tests {
         assert_eq!(run.stats.edges_relaxed, g.m());
         assert_eq!(run.stats.frontier_pushes, 4);
         assert_eq!(run.stats.frontier_peak, 2); // level {1, 2}
+    }
+
+    #[test]
+    fn lexicographic_neighbor_order() {
+        let g = Graph::from_edges(4, &[(0, 3), (0, 1), (0, 2)]);
+        assert_eq!(bfs(&g, 0).order, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn source_respected() {
+        let g = Graph::from_edges(3, &[(2, 0), (0, 1)]);
+        let r = bfs(&g, 2);
+        assert_eq!(r.depth, vec![1, 2, 0]);
+        assert_eq!(r.primary_reached, 3);
     }
 }

@@ -23,6 +23,7 @@ pub struct DfsResult {
 
 /// DFS as an engine kernel; one `iterate` explores one tree (the
 /// context source's first, then one per restart root).
+#[derive(Default)]
 pub struct DfsKernel {
     gs: Option<GraphSlots>,
     disc_slot: Slot,
@@ -37,21 +38,6 @@ pub struct DfsKernel {
 }
 
 impl DfsKernel {
-    /// A kernel ready for `init`.
-    pub fn new() -> Self {
-        DfsKernel {
-            gs: None,
-            disc_slot: Slot::new(0),
-            stack_slot: Slot::new(0),
-            discovery: Vec::new(),
-            preorder: Vec::new(),
-            stack: Vec::new(),
-            tree_edges: 0,
-            next_start: 0,
-            done: false,
-        }
-    }
-
     /// The traversal result (after the run).
     pub fn into_result(self) -> DfsResult {
         DfsResult {
@@ -59,12 +45,6 @@ impl DfsKernel {
             discovery: self.discovery,
             tree_edges: self.tree_edges,
         }
-    }
-}
-
-impl Default for DfsKernel {
-    fn default() -> Self {
-        DfsKernel::new()
     }
 }
 
@@ -171,7 +151,7 @@ impl<P: Probe> Kernel<P> for DfsKernel {
 
 /// Runs a full-coverage iterative DFS starting at `source`.
 pub fn dfs(g: &Graph, source: NodeId) -> DfsResult {
-    let mut kernel = DfsKernel::new();
+    let mut kernel = DfsKernel::default();
     let ctx = KernelCtx {
         source: Some(source),
         ..Default::default()
@@ -210,5 +190,34 @@ mod tests {
         for (i, &u) in r.preorder.iter().enumerate() {
             assert_eq!(r.discovery[u as usize], i as u32);
         }
+    }
+
+    #[test]
+    fn deep_path_does_not_overflow_stack() {
+        let n = 200_000u32;
+        let edges: Vec<(NodeId, NodeId)> = (0..n - 1).map(|u| (u, u + 1)).collect();
+        let r = dfs(&Graph::from_edges(n, &edges), 0);
+        assert_eq!(r.preorder.len(), n as usize);
+        assert_eq!(r.tree_edges, n - 1);
+    }
+
+    #[test]
+    fn back_edges_are_not_tree_edges() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        assert_eq!(dfs(&g, 0).tree_edges, 2);
+    }
+
+    #[test]
+    fn lexicographic_child_order() {
+        // child 1 before child 2 despite insertion order
+        let g = Graph::from_edges(4, &[(0, 2), (0, 1), (2, 3)]);
+        assert_eq!(dfs(&g, 0).preorder, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn empty() {
+        let r = dfs(&Graph::empty(0), 0);
+        assert!(r.preorder.is_empty());
+        assert_eq!(r.tree_edges, 0);
     }
 }

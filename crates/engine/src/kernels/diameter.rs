@@ -26,6 +26,7 @@ pub struct DiameterResult {
 }
 
 /// Diam as an engine kernel; one `iterate` fully relaxes one source.
+#[derive(Default)]
 pub struct DiamKernel {
     gs: Option<GraphSlots>,
     dist_slot: Slot,
@@ -38,26 +39,12 @@ pub struct DiamKernel {
 }
 
 impl DiamKernel {
-    /// A kernel that samples sources from the context's seed.
-    pub fn new() -> Self {
-        DiamKernel {
-            gs: None,
-            dist_slot: Slot::new(0),
-            dist: Vec::new(),
-            sources: Vec::new(),
-            preset: None,
-            next_src: 0,
-            best: 0,
-            done: false,
-        }
-    }
-
     /// A kernel that sweeps exactly the given sources instead of
     /// sampling.
     pub fn with_sources(sources: Vec<NodeId>) -> Self {
         DiamKernel {
             preset: Some(sources),
-            ..DiamKernel::new()
+            ..Default::default()
         }
     }
 
@@ -67,12 +54,6 @@ impl DiamKernel {
             lower_bound: self.best,
             sources: self.sources,
         }
-    }
-}
-
-impl Default for DiamKernel {
-    fn default() -> Self {
-        DiamKernel::new()
     }
 }
 
@@ -187,7 +168,7 @@ pub fn diameter(g: &Graph, samples: u32, seed: u64) -> DiameterResult {
 /// [`diameter`] under an explicit [`ExecPlan`]; the bound and sampled
 /// sources are identical to the serial run for every plan.
 pub fn diameter_with_plan(g: &Graph, samples: u32, seed: u64, plan: ExecPlan) -> DiameterResult {
-    let mut kernel = DiamKernel::new();
+    let mut kernel = DiamKernel::default();
     let ctx = KernelCtx {
         diameter_samples: samples,
         seed,
@@ -271,5 +252,31 @@ mod tests {
             let par = diameter_with_plan(&g, 5, 3, ExecPlan::with_threads(4));
             assert_eq!(serial, par);
         }
+    }
+
+    #[test]
+    fn lower_bound_property() {
+        // an interior source gives a smaller eccentricity — still a valid LB
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        assert_eq!(diameter_from_sources(&g, &[2]).lower_bound, 2);
+    }
+
+    #[test]
+    fn cycle_diameter() {
+        // directed cycle: eccentricity of every node is n − 1
+        let edges: Vec<(NodeId, NodeId)> = (0..8u32).map(|u| (u, (u + 1) % 8)).collect();
+        let g = Graph::from_edges(8, &edges);
+        assert_eq!(diameter(&g, 3, 4).lower_bound, 7);
+    }
+
+    #[test]
+    fn one_iteration_per_source() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let ctx = KernelCtx {
+            diameter_samples: 3,
+            ..Default::default()
+        };
+        let run = crate::run_by_name("Diam", &g, &ctx).unwrap();
+        assert_eq!(run.stats.iterations, 3);
     }
 }

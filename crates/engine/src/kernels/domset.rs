@@ -34,6 +34,7 @@ impl DomSetResult {
 }
 
 /// DS as an engine kernel; one `iterate` selects one set member.
+#[derive(Default)]
 pub struct DsKernel {
     gs: Option<GraphSlots>,
     gain_slot: Slot,
@@ -50,36 +51,12 @@ pub struct DsKernel {
 }
 
 impl DsKernel {
-    /// A kernel ready for `init`.
-    pub fn new() -> Self {
-        DsKernel {
-            gs: None,
-            gain_slot: Slot::new(0),
-            covered_slot: Slot::new(0),
-            coveredby_slot: Slot::new(0),
-            heap_slot: Slot::new(0),
-            gain: Vec::new(),
-            covered: DenseBitset::default(),
-            covered_by: Vec::new(),
-            set: Vec::new(),
-            newly: Vec::new(),
-            heap: BinaryHeap::new(),
-            remaining: 0,
-        }
-    }
-
     /// The dominating-set result (after the run).
     pub fn into_result(self) -> DomSetResult {
         DomSetResult {
             set: self.set,
             covered_by: self.covered_by,
         }
-    }
-}
-
-impl Default for DsKernel {
-    fn default() -> Self {
-        DsKernel::new()
     }
 }
 
@@ -199,7 +176,7 @@ impl<P: Probe> Kernel<P> for DsKernel {
 
 /// Runs the greedy dominating-set algorithm.
 pub fn dominating_set(g: &Graph) -> DomSetResult {
-    let mut kernel = DsKernel::new();
+    let mut kernel = DsKernel::default();
     let mut pool = BufferPool::new();
     let mut ex = Exec::new(NoProbe, &mut pool);
     let _ = crate::run_kernel(
@@ -241,5 +218,65 @@ mod tests {
     #[test]
     fn empty() {
         assert_eq!(dominating_set(&Graph::empty(0)).size(), 0);
+    }
+
+    fn assert_dominating(g: &Graph, r: &DomSetResult) {
+        let mut covered = vec![false; g.n() as usize];
+        for &u in &r.set {
+            covered[u as usize] = true;
+            for &v in g.out_neighbors(u) {
+                covered[v as usize] = true;
+            }
+        }
+        for u in g.nodes() {
+            assert!(covered[u as usize], "node {u} not dominated");
+        }
+    }
+
+    #[test]
+    fn path_greedy_is_valid() {
+        let edges: Vec<(NodeId, NodeId)> = (0..9).map(|u| (u, u + 1)).collect();
+        let g = Graph::from_edges(10, &edges);
+        let r = dominating_set(&g);
+        assert_dominating(&g, &r);
+        assert!(r.size() <= 5, "greedy on a 10-path: {}", r.size());
+    }
+
+    #[test]
+    fn covered_by_points_at_selector() {
+        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
+        let r = dominating_set(&g);
+        assert_dominating(&g, &r);
+        for u in g.nodes() {
+            let c = r.covered_by[u as usize];
+            assert!(
+                c == u || g.has_edge(c, u),
+                "covered_by[{u}] = {c} neither self nor in-neighbor"
+            );
+            assert!(r.set.contains(&c));
+        }
+    }
+
+    #[test]
+    fn greedy_picks_max_gain_first() {
+        // hub 0 covers 4 nodes; chain nodes cover 2 each
+        let g = Graph::from_edges(7, &[(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)]);
+        let r = dominating_set(&g);
+        assert_eq!(r.set[0], 0, "hub first");
+        assert_dominating(&g, &r);
+    }
+
+    #[test]
+    fn dense_graph_small_set() {
+        // complete bidirected graph on 8 nodes: one node suffices
+        let mut edges = Vec::new();
+        for u in 0..8u32 {
+            for v in 0..8u32 {
+                if u != v {
+                    edges.push((u, v));
+                }
+            }
+        }
+        assert_eq!(dominating_set(&Graph::from_edges(8, &edges)).size(), 1);
     }
 }

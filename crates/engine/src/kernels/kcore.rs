@@ -6,12 +6,19 @@
 //! still-unpeeled neighbours, moving each one bucket down with an O(1)
 //! swap. Undirected degrees — an edge counts for both endpoints. One
 //! `iterate` peels exactly one node.
+//!
+//! [`kcore_binary_heap`] is the O(m log n) lazy binary-heap variant the
+//! replication used; it gives the same result and is kept as the other
+//! side of the `kcore_ablation` bench (the replication's "binary heap …
+//! quasi-linear" remark invites the comparison).
 
 use crate::mem::{BufferPool, GraphSlots, Probe, Slot};
 use crate::partition::partition_rows;
 use crate::{parallel, Exec, ExecPlan, Kernel, KernelCtx, NoProbe};
 use gorder_core::budget::Budget;
-use gorder_graph::Graph;
+use gorder_graph::{Graph, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Result of a core decomposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,6 +35,7 @@ impl KcoreResult {
 }
 
 /// Kcore as an engine kernel; one `iterate` peels one node.
+#[derive(Default)]
 pub struct KcoreKernel {
     gs: Option<GraphSlots>,
     deg_slot: Slot,
@@ -45,34 +53,9 @@ pub struct KcoreKernel {
 }
 
 impl KcoreKernel {
-    /// A kernel ready for `init`.
-    pub fn new() -> Self {
-        KcoreKernel {
-            gs: None,
-            deg_slot: Slot::new(0),
-            pos_slot: Slot::new(0),
-            vert_slot: Slot::new(0),
-            core_slot: Slot::new(0),
-            bin_slot: Slot::new(0),
-            deg: Vec::new(),
-            pos: Vec::new(),
-            vert: Vec::new(),
-            core: Vec::new(),
-            bin: Vec::new(),
-            i: 0,
-            done: false,
-        }
-    }
-
     /// The decomposition result (after the run).
     pub fn into_result(self) -> KcoreResult {
         KcoreResult { core: self.core }
-    }
-}
-
-impl Default for KcoreKernel {
-    fn default() -> Self {
-        KcoreKernel::new()
     }
 }
 
@@ -252,7 +235,7 @@ pub fn kcore(g: &Graph) -> KcoreResult {
 /// [`kcore`] under an explicit [`ExecPlan`]; core numbers are identical
 /// to the serial run for every plan (only the degree init parallelises).
 pub fn kcore_with_plan(g: &Graph, plan: ExecPlan) -> KcoreResult {
-    let mut kernel = KcoreKernel::new();
+    let mut kernel = KcoreKernel::default();
     let mut pool = BufferPool::new();
     let mut ex = Exec::with_plan(NoProbe, &mut pool, plan);
     let _ = crate::run_kernel(
@@ -265,9 +248,116 @@ pub fn kcore_with_plan(g: &Graph, plan: ExecPlan) -> KcoreResult {
     kernel.into_result()
 }
 
+/// Lazy binary-heap peeling, O(m log n). Same result as [`kcore`].
+pub fn kcore_binary_heap(g: &Graph) -> KcoreResult {
+    let n = g.n() as usize;
+    let mut deg: Vec<u32> = g.nodes().map(|u| g.degree(u)).collect();
+    let mut heap: BinaryHeap<Reverse<(u32, NodeId)>> = (0..n as u32)
+        .map(|u| Reverse((deg[u as usize], u)))
+        .collect();
+    let mut removed = vec![false; n];
+    let mut core = vec![0u32; n];
+    let mut current = 0u32;
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if removed[u as usize] || d != deg[u as usize] {
+            continue; // stale entry
+        }
+        removed[u as usize] = true;
+        current = current.max(d);
+        core[u as usize] = current;
+        for &v in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
+            if !removed[v as usize] && deg[v as usize] > 0 {
+                deg[v as usize] -= 1;
+                heap.push(Reverse((deg[v as usize], v)));
+            }
+        }
+    }
+    KcoreResult { core }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gorder_graph::gen::{preferential_attachment, PrefAttachConfig};
+    use gorder_graph::Permutation;
+
+    fn social(n: u32, seed: u64) -> Graph {
+        preferential_attachment(PrefAttachConfig {
+            n,
+            out_degree: 4,
+            reciprocity: 0.3,
+            uniform_mix: 0.2,
+            closure_prob: 0.3,
+            recency_bias: 0.3,
+            seed,
+        })
+    }
+
+    /// Reference: naive repeated minimum-degree removal.
+    fn naive_kcore(g: &Graph) -> Vec<u32> {
+        let n = g.n() as usize;
+        let mut alive = vec![true; n];
+        let mut deg: Vec<u32> = g.nodes().map(|u| g.degree(u)).collect();
+        let mut core = vec![0u32; n];
+        let mut level = 0u32;
+        for _ in 0..n {
+            let u = (0..n)
+                .filter(|&u| alive[u])
+                .min_by_key(|&u| deg[u])
+                .unwrap();
+            level = level.max(deg[u]);
+            core[u] = level;
+            alive[u] = false;
+            for &v in g
+                .out_neighbors(u as NodeId)
+                .iter()
+                .chain(g.in_neighbors(u as NodeId))
+            {
+                if alive[v as usize] {
+                    deg[v as usize] -= 1;
+                }
+            }
+        }
+        core
+    }
+
+    #[test]
+    fn matches_naive_on_random_graphs() {
+        for seed in 0..5 {
+            let g = social(120, seed);
+            assert_eq!(kcore(&g).core, naive_kcore(&g), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn heap_variant_matches_bucket_variant() {
+        for seed in 0..5 {
+            let g = social(200, seed + 100);
+            assert_eq!(kcore(&g).core, kcore_binary_heap(&g).core, "seed {seed}");
+        }
+        assert_eq!(kcore_binary_heap(&Graph::empty(0)).degeneracy(), 0);
+    }
+
+    #[test]
+    fn core_numbers_invariant_under_relabel() {
+        let g = social(150, 7);
+        let perm = Permutation::try_new((0..150).rev().collect()).unwrap();
+        let h = g.relabel(&perm);
+        let (cg, ch) = (kcore(&g).core, kcore(&h).core);
+        for u in 0..150u32 {
+            assert_eq!(cg[u as usize], ch[perm.apply(u) as usize]);
+        }
+        let ctx = KernelCtx::default();
+        let checksum = |g: &Graph| crate::run_by_name("Kcore", g, &ctx).unwrap().checksum;
+        assert_eq!(checksum(&g), checksum(&h));
+    }
+
+    #[test]
+    fn isolated_nodes_are_zero_core() {
+        // the bidirected pair has multigraph degree 2 each
+        let g = Graph::from_edges(5, &[(0, 1), (1, 0)]);
+        assert_eq!(kcore(&g).core, vec![2, 2, 0, 0, 0]);
+    }
 
     #[test]
     fn triangle_is_two_core() {

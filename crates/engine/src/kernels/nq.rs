@@ -14,6 +14,7 @@ use gorder_graph::Graph;
 
 /// NQ as an engine kernel: `init` materialises the degree array, one
 /// `iterate` performs the full query sweep.
+#[derive(Default)]
 pub struct NqKernel {
     gs: Option<GraphSlots>,
     deg_slot: Slot,
@@ -25,28 +26,9 @@ pub struct NqKernel {
 }
 
 impl NqKernel {
-    /// A kernel ready for `init`.
-    pub fn new() -> Self {
-        NqKernel {
-            gs: None,
-            deg_slot: Slot::new(0),
-            q_slot: Slot::new(0),
-            degree: Vec::new(),
-            q: Vec::new(),
-            checksum: 0,
-            done: false,
-        }
-    }
-
     /// The per-node query values (after the run).
     pub fn into_result(self) -> Vec<u64> {
         self.q
-    }
-}
-
-impl Default for NqKernel {
-    fn default() -> Self {
-        NqKernel::new()
     }
 }
 
@@ -109,7 +91,7 @@ impl<P: Probe> Kernel<P> for NqKernel {
 
 /// Computes `q_u = Σ_{v ∈ out(u)} out_degree(v)` for every node.
 pub fn neighbor_query(g: &Graph) -> Vec<u64> {
-    let mut kernel = NqKernel::new();
+    let mut kernel = NqKernel::default();
     let mut pool = BufferPool::new();
     let mut ex = Exec::new(NoProbe, &mut pool);
     let _ = crate::run_kernel(
@@ -137,5 +119,16 @@ mod tests {
     fn empty_graph() {
         assert!(neighbor_query(&Graph::empty(0)).is_empty());
         assert_eq!(neighbor_query(&Graph::empty(3)), vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn per_node_values_map_through_permutation() {
+        let g = Graph::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
+        let perm = gorder_graph::Permutation::try_new(vec![1, 2, 0]).unwrap();
+        let q0 = neighbor_query(&g);
+        let q1 = neighbor_query(&g.relabel(&perm));
+        for u in 0..3u32 {
+            assert_eq!(q0[u as usize], q1[perm.apply(u) as usize]);
+        }
     }
 }

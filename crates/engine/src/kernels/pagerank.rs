@@ -46,6 +46,7 @@ impl PageRankResult {
 }
 
 /// PR as an engine kernel; one `iterate` is one power iteration.
+#[derive(Default)]
 pub struct PrKernel {
     gs: Option<GraphSlots>,
     inv_out_slot: Slot,
@@ -61,35 +62,12 @@ pub struct PrKernel {
 }
 
 impl PrKernel {
-    /// A kernel ready for `init`.
-    pub fn new() -> Self {
-        PrKernel {
-            gs: None,
-            inv_out_slot: Slot::new(0),
-            rank_slot: Slot::new(0),
-            next_slot: Slot::new(0),
-            inv_out: Vec::new(),
-            rank: Vec::new(),
-            next: Vec::new(),
-            ranges: Vec::new(),
-            iter: 0,
-            target: 0,
-            done: false,
-        }
-    }
-
     /// The PageRank result (after the run).
     pub fn into_result(self) -> PageRankResult {
         PageRankResult {
             rank: self.rank,
             iterations: self.target,
         }
-    }
-}
-
-impl Default for PrKernel {
-    fn default() -> Self {
-        PrKernel::new()
     }
 }
 
@@ -239,7 +217,7 @@ pub fn pagerank_with_plan(
     alpha: f64,
     plan: ExecPlan,
 ) -> PageRankResult {
-    let mut kernel = PrKernel::new();
+    let mut kernel = PrKernel::default();
     let ctx = KernelCtx {
         pr_iterations: iterations,
         damping: alpha,
@@ -334,5 +312,42 @@ mod tests {
             let par = pagerank_with_plan(&g, 5, 0.85, ExecPlan::with_threads(4));
             assert_eq!(serial, par);
         }
+    }
+
+    #[test]
+    fn symmetric_cycle_is_uniform() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        for &x in &pagerank(&g, 100, 0.85).rank {
+            assert!((x - 0.25).abs() < 1e-9, "rank = {x}");
+        }
+    }
+
+    #[test]
+    fn dangling_mass_redistributed() {
+        // 0 -> 1, 1 is dangling; without redistribution the total decays.
+        let r = pagerank(&Graph::from_edges(2, &[(0, 1)]), 100, 0.85);
+        let total: f64 = r.rank.iter().sum();
+        assert!((total - 1.0).abs() < 1e-9);
+        assert!(r.rank[1] > r.rank[0], "sink accumulates rank");
+    }
+
+    #[test]
+    fn alpha_zero_gives_uniform() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (3, 2)]);
+        for &x in &pagerank(&g, 20, 0.0).rank {
+            assert!((x - 0.25).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn stats_count_one_iteration_per_round() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let ctx = KernelCtx {
+            pr_iterations: 7,
+            ..Default::default()
+        };
+        let run = crate::run_by_name("PR", &g, &ctx).unwrap();
+        assert_eq!(run.stats.iterations, 7);
+        assert_eq!(run.stats.edges_relaxed, 7 * g.m());
     }
 }

@@ -36,6 +36,7 @@ const UNVISITED: u32 = u32::MAX;
 
 /// SCC as an engine kernel; one `iterate` runs Tarjan from one restart
 /// root.
+#[derive(Default)]
 pub struct SccKernel {
     gs: Option<GraphSlots>,
     index_slot: Slot,
@@ -57,41 +58,12 @@ pub struct SccKernel {
 }
 
 impl SccKernel {
-    /// A kernel ready for `init`.
-    pub fn new() -> Self {
-        SccKernel {
-            gs: None,
-            index_slot: Slot::new(0),
-            lowlink_slot: Slot::new(0),
-            onstack_slot: Slot::new(0),
-            comp_slot: Slot::new(0),
-            stack_slot: Slot::new(0),
-            frames_slot: Slot::new(0),
-            index: Vec::new(),
-            lowlink: Vec::new(),
-            on_stack: DenseBitset::default(),
-            component: Vec::new(),
-            sizes: Vec::new(),
-            stack: Vec::new(),
-            frames: Vec::new(),
-            next_index: 0,
-            next_root: 0,
-            done: false,
-        }
-    }
-
     /// The decomposition result (after the run).
     pub fn into_result(self) -> SccResult {
         SccResult {
             component: self.component,
             sizes: self.sizes,
         }
-    }
-}
-
-impl Default for SccKernel {
-    fn default() -> Self {
-        SccKernel::new()
     }
 }
 
@@ -246,7 +218,7 @@ impl<P: Probe> Kernel<P> for SccKernel {
 
 /// Computes strongly connected components with iterative Tarjan.
 pub fn scc(g: &Graph) -> SccResult {
-    let mut kernel = SccKernel::new();
+    let mut kernel = SccKernel::default();
     let mut pool = BufferPool::new();
     let mut ex = Exec::new(NoProbe, &mut pool);
     let _ = crate::run_kernel(
@@ -288,5 +260,59 @@ mod tests {
         let r = scc(&Graph::empty(3));
         assert_eq!(r.count(), 3);
         assert_eq!(r.largest(), 1);
+    }
+
+    #[test]
+    fn dag_has_singleton_components() {
+        let r = scc(&Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]));
+        assert_eq!(r.count(), 4);
+        assert_eq!(r.largest(), 1);
+    }
+
+    #[test]
+    #[allow(clippy::needless_range_loop)] // Floyd–Warshall reads naturally with indices
+    fn members_are_mutually_reachable() {
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (2, 0),
+            (2, 3),
+            (3, 4),
+            (4, 2),
+            (5, 0),
+            (4, 5),
+        ];
+        let r = scc(&Graph::from_edges(6, &edges));
+        let n = 6usize;
+        let mut reach = vec![vec![false; n]; n];
+        for i in 0..n {
+            reach[i][i] = true;
+        }
+        for &(u, v) in &edges {
+            reach[u as usize][v as usize] = true;
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    reach[i][j] |= reach[i][k] && reach[k][j];
+                }
+            }
+        }
+        for i in 0..n {
+            for j in 0..n {
+                let same = r.component[i] == r.component[j];
+                assert_eq!(same, reach[i][j] && reach[j][i], "pair ({i}, {j})");
+            }
+        }
+    }
+
+    #[test]
+    fn deep_cycle_iterative_safe() {
+        let n = 150_000u32;
+        let mut edges: Vec<(NodeId, NodeId)> = (0..n - 1).map(|u| (u, u + 1)).collect();
+        edges.push((n - 1, 0));
+        let r = scc(&Graph::from_edges(n, &edges));
+        assert_eq!(r.count(), 1);
+        assert_eq!(r.largest(), n);
     }
 }

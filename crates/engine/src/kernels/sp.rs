@@ -80,6 +80,7 @@ pub(crate) fn relax_round<P: Probe>(
 }
 
 /// SP as an engine kernel; one `iterate` is one relaxation round.
+#[derive(Default)]
 pub struct SpKernel {
     gs: Option<GraphSlots>,
     dist_slot: Slot,
@@ -89,29 +90,12 @@ pub struct SpKernel {
 }
 
 impl SpKernel {
-    /// A kernel ready for `init`.
-    pub fn new() -> Self {
-        SpKernel {
-            gs: None,
-            dist_slot: Slot::new(0),
-            dist: Vec::new(),
-            rounds: 0,
-            done: false,
-        }
-    }
-
     /// The shortest-path result (after the run).
     pub fn into_result(self) -> SpResult {
         SpResult {
             dist: self.dist,
             rounds: self.rounds,
         }
-    }
-}
-
-impl Default for SpKernel {
-    fn default() -> Self {
-        SpKernel::new()
     }
 }
 
@@ -162,7 +146,7 @@ impl<P: Probe> Kernel<P> for SpKernel {
 
 /// Round-based Bellman–Ford from `source` over unit edge weights.
 pub fn bellman_ford(g: &Graph, source: NodeId) -> SpResult {
-    let mut kernel = SpKernel::new();
+    let mut kernel = SpKernel::default();
     let ctx = KernelCtx {
         source: Some(source),
         ..Default::default()
@@ -207,5 +191,47 @@ mod tests {
         let r = bellman_ford(&g, 0);
         // ascending path settles in round 1; round 2 confirms no change
         assert_eq!(r.rounds, 2);
+    }
+
+    #[test]
+    fn shortest_of_two_routes() {
+        // 0 -> 1 -> 2 -> 4 and 0 -> 3 -> 4: dist 4 = 2
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]);
+        assert_eq!(bellman_ford(&g, 0).dist[4], 2);
+    }
+
+    #[test]
+    fn direction_respected() {
+        let g = Graph::from_edges(2, &[(1, 0)]);
+        assert_eq!(bellman_ford(&g, 0).dist[1], UNREACHABLE);
+    }
+
+    #[test]
+    fn rounds_bounded_by_diameter_plus_one() {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+        let r = bellman_ford(&g, 0);
+        assert!(r.rounds <= 6, "rounds = {}", r.rounds);
+        assert_eq!(r.dist[5], 5);
+    }
+
+    #[test]
+    fn matches_bfs_depths() {
+        let edges = [
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (2, 5),
+            (6, 0),
+        ];
+        let g = Graph::from_edges(7, &edges);
+        let sp = bellman_ford(&g, 0);
+        let bfs = crate::kernels::bfs::bfs(&g, 0);
+        for u in 0..7usize {
+            let want = if u == 6 { UNREACHABLE } else { bfs.depth[u] };
+            assert_eq!(sp.dist[u], want, "node {u}");
+        }
     }
 }

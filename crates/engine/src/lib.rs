@@ -1,13 +1,14 @@
 //! # gorder-engine — the unified kernel execution engine
 //!
-//! Before this crate, each of the paper's nine benchmark kernels existed
-//! twice: once hand-rolled in `gorder-algos` for wall-clock runs, and
-//! once re-rolled in `gorder-cachesim` as a memory-access replayer. The
-//! engine collapses both into a single implementation per kernel:
+//! Every kernel the reproduction measures — the paper's nine
+//! ([`PAPER_KERNELS`]) and the four extensions ([`EXTENSION_KERNELS`]) —
+//! is implemented exactly once, here. The same code produces wall-clock
+//! numbers and, under the cache simulator's tracing probe, the simulated
+//! counters, so the two measurements always describe one implementation:
 //!
 //! * a [`Kernel`] trait — `init` / `iterate` / `converged` / `finish`,
-//!   object-safe per probe type like `OrderingAlgorithm`, so registries
-//!   of boxed kernels work;
+//!   object-safe per probe type like `OrderingAlgorithm`, so [`by_name`]
+//!   hands out boxed kernels;
 //! * a probe abstraction ([`Probe`]) — kernels report every array they
 //!   allocate and every element they touch. [`NoProbe`] compiles the
 //!   reporting away (wall-clock), the cache simulator's tracing probe
@@ -50,8 +51,8 @@ use std::time::Instant;
 
 /// Shared run parameters for every kernel.
 ///
-/// This is the single source of truth re-exported as
-/// `gorder_algos::RunCtx` and `gorder_cachesim::TraceCtx`; harnesses map
+/// This is the single source of truth, re-exported as the facade's
+/// `RunCtx` and as `gorder_cachesim::TraceCtx`; harnesses map
 /// `source` through each ordering's permutation so every ordering
 /// computes from the same *logical* node.
 #[derive(Debug, Clone)]
@@ -187,13 +188,14 @@ impl<'a, P: Probe> Exec<'a, P> {
 /// each array with the probe) and seeds the computation;
 /// [`Kernel::iterate`] advances one kernel-specific unit of work and is
 /// called until [`Kernel::converged`] returns true (or the budget runs
-/// out); [`Kernel::finish`] folds the state into the checksum — the same
-/// value the legacy `gorder-algos` implementations returned, which is
-/// what keeps cross-ordering equivalence testable. [`Kernel::reclaim`]
-/// optionally returns buffers to the pool for the next run.
+/// out); [`Kernel::finish`] folds the state into the checksum, built
+/// from relabeling-invariant quantities wherever the result itself is
+/// invariant, which is what keeps cross-ordering equivalence testable.
+/// [`Kernel::reclaim`] optionally returns buffers to the pool for the
+/// next run.
 ///
 /// The trait is object-safe for any fixed probe type, mirroring
-/// `OrderingAlgorithm`: registries hold `Box<dyn Kernel<P>>`.
+/// `OrderingAlgorithm`: [`by_name`] hands out `Box<dyn Kernel<P>>`.
 pub trait Kernel<P: Probe> {
     /// Short name matching the paper's figure labels (NQ, BFS, …).
     fn name(&self) -> &'static str;
@@ -217,8 +219,8 @@ pub trait Kernel<P: Probe> {
 /// What a completed (or degraded) kernel run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelRun {
-    /// The kernel's checksum — identical to the legacy
-    /// `GraphAlgorithm::run` value for the same graph and context.
+    /// The kernel's checksum — identical under every probe and plan for
+    /// the same graph and context.
     pub checksum: u64,
     /// Work and timing metrics for the run.
     pub stats: KernelStats,
@@ -275,38 +277,42 @@ pub fn run_kernel<P: Probe, K: Kernel<P> + ?Sized>(
     ExecOutcome::Completed(checksum)
 }
 
-/// All nine paper kernels in presentation order, boxed for a given
-/// probe type.
-pub fn registry<P: Probe>() -> Vec<Box<dyn Kernel<P>>> {
-    vec![
-        Box::new(kernels::nq::NqKernel::new()),
-        Box::new(kernels::bfs::BfsKernel::new()),
-        Box::new(kernels::dfs::DfsKernel::new()),
-        Box::new(kernels::scc::SccKernel::new()),
-        Box::new(kernels::sp::SpKernel::new()),
-        Box::new(kernels::pagerank::PrKernel::new()),
-        Box::new(kernels::domset::DsKernel::new()),
-        Box::new(kernels::kcore::KcoreKernel::new()),
-        Box::new(kernels::diameter::DiamKernel::new()),
-    ]
+/// The paper's nine kernel labels, in presentation order.
+pub const PAPER_KERNELS: [&str; 9] = ["NQ", "BFS", "DFS", "SCC", "SP", "PR", "DS", "Kcore", "Diam"];
+
+/// The extension kernel labels (DESIGN.md §8), in presentation order.
+pub const EXTENSION_KERNELS: [&str; 4] = ["WCC", "Tri", "LP", "BC"];
+
+/// Every kernel label: the paper's nine, then the extensions.
+pub fn all_kernel_names() -> impl Iterator<Item = &'static str> {
+    PAPER_KERNELS.into_iter().chain(EXTENSION_KERNELS)
 }
 
-/// The paper labels of the nine engine kernels, in presentation order.
-pub fn kernel_names() -> Vec<&'static str> {
-    registry::<NoProbe>().iter().map(|k| k.name()).collect()
+/// The canonical label of the kernel `name` names, case-insensitively,
+/// or `None` when no kernel has that label.
+pub fn canonical_name(name: &str) -> Option<&'static str> {
+    all_kernel_names().find(|k| k.eq_ignore_ascii_case(name))
 }
 
-/// Looks a kernel up by its paper label, case-insensitively.
+/// Builds a fresh kernel by its label, case-insensitively.
 pub fn by_name<P: Probe>(name: &str) -> Option<Box<dyn Kernel<P>>> {
-    registry::<P>()
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-}
-
-/// True when `name` labels one of the nine engine kernels
-/// (case-insensitive).
-pub fn is_kernel(name: &str) -> bool {
-    by_name::<NoProbe>(name).is_some()
+    use kernels::*;
+    Some(match canonical_name(name)? {
+        "NQ" => Box::<nq::NqKernel>::default(),
+        "BFS" => Box::<bfs::BfsKernel>::default(),
+        "DFS" => Box::<dfs::DfsKernel>::default(),
+        "SCC" => Box::<scc::SccKernel>::default(),
+        "SP" => Box::<sp::SpKernel>::default(),
+        "PR" => Box::<pagerank::PrKernel>::default(),
+        "DS" => Box::<domset::DsKernel>::default(),
+        "Kcore" => Box::<kcore::KcoreKernel>::default(),
+        "Diam" => Box::<diameter::DiamKernel>::default(),
+        "WCC" => Box::<wcc::WccKernel>::default(),
+        "Tri" => Box::<triangles::TriKernel>::default(),
+        "LP" => Box::<labelprop::LpKernel>::default(),
+        "BC" => Box::<betweenness::BcKernel>::default(),
+        _ => return None,
+    })
 }
 
 /// Runs the kernel labelled `name` under `budget`, observing through
@@ -347,15 +353,13 @@ pub fn execute_plan<P: Probe>(
     budget: &Budget,
     plan: ExecPlan,
 ) -> Option<ExecOutcome<KernelRun>> {
-    if !is_kernel(name) {
-        return None;
-    }
+    let kernel = by_name::<P>(name)?;
     let retry_probe = match plan {
         ExecPlan::Serial => None,
         _ => probe.duplicate(),
     };
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_plan_once(name, g, ctx, probe, pool, budget, plan)
+        execute_plan_once(kernel, g, ctx, probe, pool, budget, plan)
     }));
     match attempt {
         Ok(outcome) => Some(outcome),
@@ -371,8 +375,9 @@ pub fn execute_plan<P: Probe>(
                 wp.0
             );
             gorder_obs::global().counter_add("engine.panic_recovered", 1);
+            let fresh = by_name::<P>(name).expect("resolved above");
             let outcome =
-                execute_plan_once(name, g, ctx, retry_probe, pool, budget, ExecPlan::Serial);
+                execute_plan_once(fresh, g, ctx, retry_probe, pool, budget, ExecPlan::Serial);
             Some(outcome.map(|mut run| {
                 run.stats.degraded_serial = true;
                 run
@@ -381,10 +386,10 @@ pub fn execute_plan<P: Probe>(
     }
 }
 
-/// One attempt of [`execute_plan`]: builds a fresh kernel (used kernels
-/// are not re-init-safe) and runs it under `plan`.
+/// One attempt of [`execute_plan`]: runs a fresh `kernel` (used kernels
+/// are not re-init-safe) under `plan`.
 fn execute_plan_once<P: Probe>(
-    name: &str,
+    mut kernel: Box<dyn Kernel<P>>,
     g: &Graph,
     ctx: &KernelCtx,
     probe: P,
@@ -392,7 +397,6 @@ fn execute_plan_once<P: Probe>(
     budget: &Budget,
     plan: ExecPlan,
 ) -> ExecOutcome<KernelRun> {
-    let mut kernel = by_name::<P>(name).expect("caller checked is_kernel");
     let mut ex = Exec::with_plan(probe, pool, plan);
     let outcome = run_kernel(kernel.as_mut(), g, ctx, &mut ex, budget);
     let stats = ex.stats.clone();
@@ -446,20 +450,27 @@ mod tests {
     }
 
     #[test]
-    fn registry_has_nine_in_paper_order() {
+    fn name_tables_build_every_kernel_in_order() {
         assert_eq!(
-            kernel_names(),
-            vec!["NQ", "BFS", "DFS", "SCC", "SP", "PR", "DS", "Kcore", "Diam"]
+            PAPER_KERNELS,
+            ["NQ", "BFS", "DFS", "SCC", "SP", "PR", "DS", "Kcore", "Diam"]
         );
+        assert_eq!(EXTENSION_KERNELS, ["WCC", "Tri", "LP", "BC"]);
+        assert_eq!(all_kernel_names().count(), 13);
+        for name in all_kernel_names() {
+            assert_eq!(by_name::<NoProbe>(name).unwrap().name(), name);
+        }
     }
 
     #[test]
     fn by_name_is_case_insensitive() {
-        assert!(by_name::<NoProbe>("bfs").is_some());
-        assert!(by_name::<NoProbe>("KCORE").is_some());
+        assert_eq!(by_name::<NoProbe>("bfs").unwrap().name(), "BFS");
+        assert_eq!(by_name::<NoProbe>("KCORE").unwrap().name(), "Kcore");
+        assert_eq!(by_name::<NoProbe>("wcc").unwrap().name(), "WCC");
         assert!(by_name::<NoProbe>("nope").is_none());
-        assert!(is_kernel("pr"));
-        assert!(!is_kernel("WCC"));
+        assert_eq!(canonical_name("pr"), Some("PR"));
+        assert_eq!(canonical_name("tri"), Some("Tri"));
+        assert_eq!(canonical_name("NQX"), None);
     }
 
     #[test]
@@ -470,7 +481,7 @@ mod tests {
             diameter_samples: 3,
             ..Default::default()
         };
-        for name in kernel_names() {
+        for name in all_kernel_names() {
             let run = run_by_name(name, &g, &ctx).unwrap();
             assert!(run.stats.iterations > 0, "{name} took no iterations");
         }
@@ -480,14 +491,14 @@ mod tests {
     fn every_kernel_handles_the_empty_graph() {
         let g = Graph::empty(0);
         let ctx = KernelCtx::default();
-        for name in kernel_names() {
+        for name in all_kernel_names() {
             let _ = run_by_name(name, &g, &ctx).unwrap();
         }
     }
 
     #[test]
     fn unknown_kernel_is_none() {
-        assert!(run_by_name("WCC", &diamond(), &KernelCtx::default()).is_none());
+        assert!(run_by_name("NQX", &diamond(), &KernelCtx::default()).is_none());
     }
 
     #[test]
@@ -559,7 +570,7 @@ mod tests {
             ..Default::default()
         };
         let mut pool = BufferPool::new();
-        for name in kernel_names() {
+        for name in all_kernel_names() {
             let first = execute(name, &g, &ctx, NoProbe, &mut pool, &Budget::unlimited())
                 .unwrap()
                 .value()
@@ -613,6 +624,21 @@ mod tests {
     }
 
     #[test]
+    fn every_kernel_reports_real_stats_under_a_plan() {
+        let g = Graph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]);
+        let ctx = KernelCtx {
+            pr_iterations: 3,
+            ..Default::default()
+        };
+        for name in all_kernel_names() {
+            let run = run_by_name_plan(name, &g, &ctx, ExecPlan::with_threads(3)).unwrap();
+            assert_eq!(run.stats.threads_used, 3, "{name}");
+            assert!(run.stats.iterations > 0, "{name}");
+            assert!(run.stats.edges_relaxed > 0, "{name}");
+        }
+    }
+
+    #[test]
     fn unsafe_probe_forces_serial_path() {
         struct Tracerish;
         impl Probe for Tracerish {
@@ -652,6 +678,17 @@ mod tests {
     }
 
     #[test]
+    fn source_for_prefers_explicit() {
+        let g = Graph::from_edges(3, &[(0, 1), (0, 2)]);
+        let ctx = KernelCtx {
+            source: Some(2),
+            ..Default::default()
+        };
+        assert_eq!(ctx.source_for(&g), 2);
+        assert_eq!(KernelCtx::default().source_for(&g), 0); // max-degree node
+    }
+
+    #[test]
     fn source_for_degenerate_graphs() {
         let empty = Graph::empty(0);
         let one = Graph::empty(1);
@@ -674,7 +711,7 @@ mod tests {
             diameter_samples: 2,
             ..Default::default()
         };
-        for name in kernel_names() {
+        for name in all_kernel_names() {
             let _ = run_by_name(name, &g, &ctx).unwrap();
         }
     }

@@ -22,7 +22,7 @@ use gorder_graph::{Graph, NodeId};
 ///
 /// Returned by [`Probe::alloc`]; kernels store it and pass it back to
 /// [`Probe::touch`]. For [`NoProbe`] it carries no meaning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Slot(u32);
 
 impl Slot {

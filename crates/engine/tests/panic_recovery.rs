@@ -59,7 +59,7 @@ fn every_parallel_kernel_survives_a_first_worker_panic() {
     let _guard = FAULTS.lock().unwrap();
     let g = ring_graph(150);
     let ctx = KernelCtx::default();
-    for name in gorder_engine::kernel_names() {
+    for name in gorder_engine::all_kernel_names() {
         let clean = run_by_name_plan(name, &g, &ctx, ExecPlan::Serial).unwrap();
         faults::arm_from_spec("engine.worker=1").unwrap();
         let run = run_by_name_plan(name, &g, &ctx, ExecPlan::with_threads(4)).unwrap();

@@ -154,13 +154,20 @@ pub fn extended_names() -> Vec<&'static str> {
 /// distance 3 of `name`, case-insensitively — for "did you mean ...?"
 /// errors on `--orderings` typos.
 pub fn suggest_name(name: &str) -> Option<&'static str> {
+    closest_name(name, &extended_names())
+}
+
+/// The entry of `known` closest to `name` within edit distance 3,
+/// case-insensitively — the "did you mean ...?" rule every name filter
+/// shares.
+pub fn closest_name<'a>(name: &str, known: &[&'a str]) -> Option<&'a str> {
     let lower = name.to_ascii_lowercase();
-    extended_names()
-        .into_iter()
-        .map(|known| (edit_distance(&lower, &known.to_ascii_lowercase()), known))
+    known
+        .iter()
+        .map(|&k| (edit_distance(&lower, &k.to_ascii_lowercase()), k))
         .filter(|&(d, _)| d <= 3)
         .min_by_key(|&(d, _)| d)
-        .map(|(_, known)| known)
+        .map(|(_, k)| k)
 }
 
 /// Levenshtein distance over bytes (names are ASCII).

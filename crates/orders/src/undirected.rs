@@ -5,7 +5,7 @@
 //! expose that view without materialising a second graph: a node's
 //! undirected neighbourhood is the chain of its out- and in-lists (an edge
 //! present in both directions therefore appears twice — the *multigraph*
-//! view, consistent with `gorder-algos`' k-core degree convention).
+//! view, consistent with the engine's k-core degree convention).
 
 use gorder_graph::{Graph, NodeId};
 

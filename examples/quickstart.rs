@@ -7,7 +7,6 @@
 use gorder::cachesim::trace::{pagerank as traced_pr, TraceCtx};
 use gorder::cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder::prelude::*;
-use gorder_algos::pagerank::Pr;
 use gorder_core::score::f_score_of;
 use std::time::Instant;
 
@@ -38,8 +37,8 @@ fn main() {
         pr_iterations: 50,
         ..Default::default()
     };
-    let pr = Pr;
-    assert_eq!(pr.run(&graph, &ctx), pr.run(&reordered, &ctx), "same ranks");
+    let pr = |g: &Graph| gorder::engine::run_by_name("PR", g, &ctx).unwrap().checksum;
+    assert_eq!(pr(&graph), pr(&reordered), "same ranks");
 
     // 5. Where the speedup comes from: cache behaviour. The simulator
     //    shows the per-layout profile on any machine; raw wall clock only

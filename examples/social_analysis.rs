@@ -7,11 +7,11 @@
 //! cargo run --release --example social_analysis
 //! ```
 
+use gorder::algos::domset::dominating_set;
+use gorder::algos::kcore::kcore;
+use gorder::algos::scc::scc;
 use gorder::orders::{ChDfs, Rcm};
 use gorder::prelude::*;
-use gorder_algos::domset::dominating_set;
-use gorder_algos::kcore::kcore;
-use gorder_algos::scc::scc;
 use std::time::Instant;
 
 fn main() {

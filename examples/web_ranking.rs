@@ -7,10 +7,10 @@
 //! cargo run --release --example web_ranking
 //! ```
 
+use gorder::algos::pagerank::pagerank;
 use gorder::cachesim::trace::{pagerank as traced_pr, TraceCtx};
 use gorder::cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder::prelude::*;
-use gorder_algos::pagerank::pagerank;
 
 fn main() {
     // A copying-model web graph with host-block locality (sdarc-like).

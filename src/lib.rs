@@ -18,10 +18,13 @@
 //!   windowed greedy, and ordering quality metrics ([`gorder_core`]).
 //! * [`orders`] — the nine baseline orderings the paper compares against
 //!   ([`gorder_orders`]).
-//! * [`algos`] — the nine benchmark graph algorithms ([`gorder_algos`]).
-//! * [`cachesim`] — a set-associative cache-hierarchy simulator with
-//!   per-algorithm access replayers, standing in for hardware performance
-//!   counters ([`gorder_cachesim`]).
+//! * [`engine`] — the kernel execution engine: the nine benchmark
+//!   kernels plus four extensions, each implemented once and run by name
+//!   ([`gorder_engine`]); [`algos`] is its `kernels` module, with one
+//!   result-returning function per kernel.
+//! * [`cachesim`] — a set-associative cache-hierarchy simulator that
+//!   runs the same engine kernels through a tracing probe, standing in
+//!   for hardware performance counters ([`gorder_cachesim`]).
 //!
 //! ## Quickstart
 //!
@@ -47,16 +50,18 @@
 //! assert!(after > before);
 //! ```
 
-pub use gorder_algos as algos;
 pub use gorder_cachesim as cachesim;
 pub use gorder_core as core;
+pub use gorder_engine as engine;
+pub use gorder_engine::kernels as algos;
 pub use gorder_graph as graph;
 pub use gorder_orders as orders;
 
 /// One-line imports for the common workflow.
 pub mod prelude {
-    pub use gorder_algos::{GraphAlgorithm, RunCtx};
     pub use gorder_core::{Gorder, GorderBuilder};
+    /// Kernel run parameters (the engine's [`KernelCtx`](gorder_engine::KernelCtx)).
+    pub use gorder_engine::KernelCtx as RunCtx;
     pub use gorder_graph::{Graph, GraphBuilder, Permutation};
     pub use gorder_orders::OrderingAlgorithm;
 }

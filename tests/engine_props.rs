@@ -1,11 +1,11 @@
-//! Property-based tests for the kernel execution engine: every paper
-//! kernel run through [`gorder_engine::run_by_name`] must produce
+//! Property-based tests for the kernel execution engine: every kernel
+//! run through [`gorder_engine::run_by_name`] must produce
 //! relabeling-invariant results (checksums where the underlying quantity
 //! is invariant, structural properties where it is not), and the
-//! `gorder-algos` wrappers must agree with the engine exactly.
+//! result-returning library functions (`gorder::algos::*`) must agree
+//! with the engine runs exactly.
 
 use gorder::prelude::*;
-use gorder_algos::RunCtx;
 use gorder_engine::{run_by_name, run_by_name_plan, ExecPlan};
 use proptest::prelude::*;
 
@@ -46,9 +46,9 @@ proptest! {
         let src = g.max_degree_node().unwrap_or(0);
         let ctx_g = quick_ctx(Some(src));
         let ctx_h = quick_ctx(Some(p.apply(src)));
-        for name in ["NQ", "BFS", "SP", "SCC", "Kcore"] {
-            let rg = run_by_name(name, &g, &ctx_g).expect("paper kernel");
-            let rh = run_by_name(name, &h, &ctx_h).expect("paper kernel");
+        for name in ["NQ", "BFS", "SP", "SCC", "Kcore", "WCC", "Tri"] {
+            let rg = run_by_name(name, &g, &ctx_g).expect("kernel");
+            let rh = run_by_name(name, &h, &ctx_h).expect("kernel");
             prop_assert_eq!(rg.checksum, rh.checksum, "{} checksum not invariant", name);
         }
     }
@@ -126,9 +126,9 @@ proptest! {
     fn parallel_plans_never_change_results(g in arb_graph(60, 200), threads in 2u32..8) {
         let ctx = quick_ctx(None);
         let plan = ExecPlan::with_threads(threads);
-        for name in ["NQ", "BFS", "DFS", "SCC", "SP", "PR", "DS", "Kcore", "Diam"] {
-            let serial = run_by_name(name, &g, &ctx).expect("paper kernel");
-            let par = run_by_name_plan(name, &g, &ctx, plan).expect("paper kernel");
+        for name in gorder_engine::all_kernel_names() {
+            let serial = run_by_name(name, &g, &ctx).expect("kernel");
+            let par = run_by_name_plan(name, &g, &ctx, plan).expect("kernel");
             prop_assert_eq!(serial.checksum, par.checksum, "{} checksum at {} threads", name, threads);
             prop_assert_eq!(serial.stats.iterations, par.stats.iterations, "{} iterations", name);
             prop_assert_eq!(serial.stats.edges_relaxed, par.stats.edges_relaxed, "{} edges", name);
@@ -174,23 +174,52 @@ proptest! {
         }
     }
 
-    // Every `gorder-algos` wrapper must agree exactly with the engine
-    // kernel it delegates to — checksum and counters alike.
+    // Every result-returning library function must fold to exactly the
+    // checksum the engine reports for the same kernel, graph and
+    // parameters — the library and the harness see one implementation.
     #[test]
-    fn algos_wrappers_agree_with_engine(g in arb_graph(40, 120), seed in any::<u64>()) {
+    fn library_functions_agree_with_engine(g in arb_graph(40, 120), seed in any::<u64>()) {
+        use gorder::algos::*;
         let p = arb_perm(g.n(), seed);
         let h = g.relabel(&p);
-        let ctx = quick_ctx(Some(h.max_degree_node().unwrap_or(0)));
-        for name in ["NQ", "BFS", "DFS", "SP", "PR", "DS", "Kcore", "SCC", "Diam"] {
-            let a = gorder::algos::by_name(name).expect("paper algorithm");
-            let (checksum, stats) = a.run_stats(&h, &ctx);
-            let run = run_by_name(name, &h, &ctx).expect("paper kernel");
-            prop_assert_eq!(checksum, run.checksum, "{} checksum drifts", name);
-            // phase timings are wall-clock, so compare the counters only
-            let counters = |s: &gorder_algos::KernelStats| {
-                (s.iterations, s.edges_relaxed, s.frontier_pushes, s.frontier_peak)
-            };
-            prop_assert_eq!(counters(&stats), counters(&run.stats), "{} counters drift", name);
+        let src = h.max_degree_node().unwrap_or(0);
+        let ctx = quick_ctx(Some(src));
+        let square_sum = |sizes: &[u32]| {
+            sizes.iter().fold(sizes.len() as u64, |a, &s| a + u64::from(s) * u64::from(s))
+        };
+        let b = bfs::bfs(&h, src);
+        let d = dfs::dfs(&h, src);
+        let labels = labelprop::label_propagation(&h, 20);
+        let mut distinct = labels.label.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let expected = [
+            ("NQ", nq::neighbor_query(&h).iter().sum::<u64>()),
+            ("BFS", b.order[..b.primary_reached as usize]
+                .iter()
+                .fold(u64::from(b.primary_reached), |a, &u| a + u64::from(b.depth[u as usize]))),
+            ("DFS", (d.preorder.len() as u64).wrapping_mul(0x9E3779B97F4A7C15)
+                ^ u64::from(d.tree_edges)),
+            ("SCC", square_sum(&scc::scc(&h).sizes)),
+            ("SP", sp::bellman_ford(&h, src)
+                .dist
+                .iter()
+                .filter(|&&x| x != u32::MAX)
+                .map(|&x| u64::from(x) + 1)
+                .sum()),
+            ("PR", (pagerank::pagerank(&h, 5, 0.85).rank.iter().sum::<f64>() * 1e6).round() as u64),
+            ("DS", u64::from(domset::dominating_set(&h).size())),
+            ("Kcore", kcore::kcore(&h).core.iter().map(|&c| u64::from(c) * u64::from(c)).sum()),
+            ("Diam", u64::from(diameter::diameter(&h, 2, ctx.seed).lower_bound)),
+            ("WCC", square_sum(&wcc::wcc(&h).sizes)),
+            ("Tri", triangles::count_triangles(&h)),
+            ("LP", (distinct.len() as u64) << 8 | u64::from(labels.iterations)),
+            ("BC", (betweenness::betweenness(&h, 8, ctx.seed).score.iter().sum::<f64>() * 1e3)
+                .round() as u64),
+        ];
+        for (name, want) in expected {
+            let run = run_by_name(name, &h, &ctx).expect("kernel");
+            prop_assert_eq!(run.checksum, want, "{} library result drifts", name);
         }
     }
 }

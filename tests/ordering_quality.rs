@@ -103,7 +103,7 @@ fn chdfs_gives_dfs_a_sequential_walk() {
     let perm = gorder::orders::ChDfs.compute(&g);
     let rg = g.relabel(&perm);
     let start = rg.nodes().max_by_key(|&u| rg.degree(u)).unwrap();
-    let r = gorder_algos::dfs::dfs(&rg, start);
+    let r = gorder::algos::dfs::dfs(&rg, start);
     let sequential = r.preorder.windows(2).filter(|w| w[1] == w[0] + 1).count();
     assert!(
         sequential as f64 > 0.95 * (rg.n() as f64 - 1.0),

@@ -7,14 +7,13 @@
 //! `GORDER_TEST_THREADS` (the CI matrix variable) adds an extra thread
 //! count to the built-in {1, 2, 3, 7} sweep.
 
-use gorder_algos::RunCtx;
 use gorder_engine::kernels::{bfs, diameter, kcore, pagerank};
-use gorder_engine::{run_by_name, run_by_name_plan, ExecPlan};
+use gorder_engine::{run_by_name, run_by_name_plan, ExecPlan, KernelCtx as RunCtx};
 use gorder_graph::gen::{erdos_renyi, web_graph, WebGraphConfig};
 use gorder_graph::Graph;
 
 /// The nine paper kernels, in presentation order.
-const KERNELS: [&str; 9] = ["NQ", "BFS", "DFS", "SCC", "SP", "PR", "DS", "Kcore", "Diam"];
+const KERNELS: [&str; 9] = gorder_engine::PAPER_KERNELS;
 
 /// Thread counts under test: serial, even, odd, and more-than-cores-ish;
 /// plus whatever the CI matrix pins via `GORDER_TEST_THREADS`.

@@ -3,7 +3,6 @@
 //! and algorithm invariance under arbitrary relabelings.
 
 use gorder::prelude::*;
-use gorder_algos::RunCtx;
 use proptest::prelude::*;
 
 /// Strategy: a directed graph with up to `max_n` nodes and `max_m` edges.
@@ -75,9 +74,9 @@ proptest! {
         let src = g.max_degree_node().unwrap_or(0);
         let ctx_g = RunCtx { source: Some(src), pr_iterations: 5, diameter_samples: 2, ..Default::default() };
         let ctx_h = RunCtx { source: Some(p.apply(src)), ..ctx_g.clone() };
-        for name in ["NQ", "BFS", "SCC", "SP", "Kcore"] {
-            let a = gorder::algos::by_name(name).unwrap();
-            prop_assert_eq!(a.run(&g, &ctx_g), a.run(&h, &ctx_h), "{} not invariant", name);
+        for name in ["NQ", "BFS", "SCC", "SP", "Kcore", "WCC", "Tri"] {
+            let run = |g: &Graph, ctx: &RunCtx| gorder::engine::run_by_name(name, g, ctx).unwrap().checksum;
+            prop_assert_eq!(run(&g, &ctx_g), run(&h, &ctx_h), "{} not invariant", name);
         }
     }
 

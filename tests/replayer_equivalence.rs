@@ -1,13 +1,13 @@
-//! The cache-simulator replayers must *be* the algorithms: for every
-//! benchmark algorithm, the traced replayer's checksum equals the
-//! `gorder-algos` implementation's checksum, on multiple graphs and under
-//! multiple orderings. This is what licenses reading the simulator's
-//! counters as "the algorithm's cache behaviour".
+//! The cache-simulator replays must *be* the algorithms: for every
+//! kernel, the traced run (`TracerProbe`) returns the same checksum as
+//! the wall-clock run (`NoProbe`), on multiple graphs and under multiple
+//! orderings. This is what licenses reading the simulator's counters as
+//! "the algorithm's cache behaviour".
 
-use gorder::cachesim::trace::{replay, TraceCtx, TRACED_ALGOS};
+use gorder::cachesim::trace::{replay, TraceCtx, TRACED_ALGOS, TRACED_EXTENSIONS};
 use gorder::cachesim::{CacheHierarchy, HierarchyConfig, Tracer};
+use gorder::engine::{all_kernel_names, run_by_name};
 use gorder::prelude::*;
-use gorder_algos::RunCtx;
 
 fn graphs() -> Vec<Graph> {
     vec![
@@ -17,33 +17,31 @@ fn graphs() -> Vec<Graph> {
     ]
 }
 
-fn contexts(seed: u64) -> (RunCtx, TraceCtx) {
-    let a = RunCtx {
+fn ctx(seed: u64) -> TraceCtx {
+    TraceCtx {
         source: None,
         pr_iterations: 7,
         damping: 0.85,
         diameter_samples: 3,
         seed,
-    };
-    let t = TraceCtx {
-        source: None,
-        pr_iterations: 7,
-        damping: 0.85,
-        diameter_samples: 3,
-        seed,
-    };
-    (a, t)
+    }
+}
+
+/// Asserts that `name` returns the same checksum under `NoProbe` and
+/// under the cache tracer.
+fn assert_probes_agree(name: &str, g: &Graph, ctx: &TraceCtx, what: &str) {
+    let expected = run_by_name(name, g, ctx).unwrap().checksum;
+    let mut tracer = Tracer::new(CacheHierarchy::new(&HierarchyConfig::scaled_down()));
+    let traced = replay(name, g, &mut tracer, ctx).unwrap();
+    assert_eq!(traced, expected, "{name} diverges {what}");
 }
 
 #[test]
 fn replayers_match_algorithms_on_plain_graphs() {
-    let (actx, tctx) = contexts(5);
+    let ctx = ctx(5);
     for (gi, g) in graphs().iter().enumerate() {
         for name in TRACED_ALGOS {
-            let expected = gorder::algos::by_name(name).unwrap().run(g, &actx);
-            let mut tracer = Tracer::new(CacheHierarchy::new(&HierarchyConfig::scaled_down()));
-            let traced = replay(name, g, &mut tracer, &tctx).unwrap();
-            assert_eq!(traced, expected, "{name} diverges on graph {gi}");
+            assert_probes_agree(name, g, &ctx, &format!("on graph {gi}"));
         }
     }
 }
@@ -51,32 +49,24 @@ fn replayers_match_algorithms_on_plain_graphs() {
 #[test]
 fn replayers_match_algorithms_under_reordering() {
     let g = gorder::graph::datasets::epinion_like().build(0.05);
-    let (mut actx, mut tctx) = contexts(8);
+    let mut ctx = ctx(8);
     let logical = g.max_degree_node().unwrap();
     for ordering in ["Random", "RCM", "Gorder"] {
         let perm = gorder::orders::by_name(ordering, 2).unwrap().compute(&g);
         let rg = g.relabel(&perm);
-        actx.source = Some(perm.apply(logical));
-        tctx.source = Some(perm.apply(logical));
-        for name in TRACED_ALGOS {
-            let expected = gorder::algos::by_name(name).unwrap().run(&rg, &actx);
-            let mut tracer = Tracer::new(CacheHierarchy::new(&HierarchyConfig::scaled_down()));
-            let traced = replay(name, &rg, &mut tracer, &tctx).unwrap();
-            assert_eq!(traced, expected, "{name} diverges under {ordering}");
+        ctx.source = Some(perm.apply(logical));
+        for name in all_kernel_names() {
+            assert_probes_agree(name, &rg, &ctx, &format!("under {ordering}"));
         }
     }
 }
 
 #[test]
 fn extension_replayers_match_algorithms() {
-    use gorder::cachesim::trace::TRACED_EXTENSIONS;
-    let (actx, tctx) = contexts(3);
+    let ctx = ctx(3);
     for (gi, g) in graphs().iter().enumerate() {
         for name in TRACED_EXTENSIONS {
-            let expected = gorder::algos::by_name(name).unwrap().run(g, &actx);
-            let mut tracer = Tracer::new(CacheHierarchy::new(&HierarchyConfig::scaled_down()));
-            let traced = replay(name, g, &mut tracer, &tctx).unwrap();
-            assert_eq!(traced, expected, "{name} diverges on graph {gi}");
+            assert_probes_agree(name, g, &ctx, &format!("on graph {gi}"));
         }
     }
 }
@@ -86,10 +76,10 @@ fn extension_replayers_match_algorithms() {
 #[test]
 fn replays_produce_plausible_cache_traffic() {
     let g = gorder::graph::datasets::epinion_like().build(0.3);
-    let (_, tctx) = contexts(1);
-    for name in TRACED_ALGOS {
+    let ctx = ctx(1);
+    for name in all_kernel_names() {
         let mut tracer = Tracer::new(CacheHierarchy::new(&HierarchyConfig::scaled_down()));
-        replay(name, &g, &mut tracer, &tctx).unwrap();
+        replay(name, &g, &mut tracer, &ctx).unwrap();
         let s = tracer.stats();
         assert!(s.l1_refs > u64::from(g.n()), "{name}: too few references");
         assert!(s.l1_miss_rate > 0.0, "{name}: suspiciously perfect L1");
