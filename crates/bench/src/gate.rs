@@ -337,11 +337,7 @@ fn wall_cells(
             ..base_ctx.clone()
         };
         for &algo in algos {
-            let run = |g: &gorder_graph::Graph, ctx: &KernelCtx| {
-                let run = gorder_engine::run_by_name_plan(algo, g, ctx, plan)
-                    .expect("algo names resolved");
-                (run.checksum, run.stats)
-            };
+            let run = |g, ctx| crate::experiment::run_kernel(algo, g, ctx, plan);
             let mut t_orig = Vec::new();
             let mut t_ord = Vec::new();
             let mut checksum = 0u64;

@@ -8,12 +8,9 @@
 //! count to the built-in {1, 2, 3, 7} sweep.
 
 use gorder_engine::kernels::{bfs, diameter, kcore, pagerank};
-use gorder_engine::{run_by_name, run_by_name_plan, ExecPlan, KernelCtx as RunCtx};
+use gorder_engine::{run_by_name, run_by_name_plan, ExecPlan, KernelCtx as RunCtx, PAPER_KERNELS};
 use gorder_graph::gen::{erdos_renyi, web_graph, WebGraphConfig};
 use gorder_graph::Graph;
-
-/// The nine paper kernels, in presentation order.
-const KERNELS: [&str; 9] = gorder_engine::PAPER_KERNELS;
 
 /// Thread counts under test: serial, even, odd, and more-than-cores-ish;
 /// plus whatever the CI matrix pins via `GORDER_TEST_THREADS`.
@@ -79,7 +76,7 @@ fn every_kernel_matches_serial_under_every_ordering_and_thread_count() {
         for o in gorder_orders::all(42) {
             let perm = o.compute(&g);
             let rg = g.relabel(&perm);
-            for name in KERNELS {
+            for name in PAPER_KERNELS {
                 let serial = run_by_name(name, &rg, &ctx).expect("paper kernel");
                 for &t in &counts {
                     let par = run_by_name_plan(name, &rg, &ctx, ExecPlan::with_threads(t))
@@ -156,7 +153,7 @@ fn degenerate_graphs_run_at_every_thread_count() {
     ];
     for (label, g) in &degenerates {
         for &t in &thread_counts() {
-            for name in KERNELS {
+            for name in PAPER_KERNELS {
                 let run = run_by_name_plan(name, g, &ctx, ExecPlan::with_threads(t))
                     .expect("paper kernel");
                 let serial = run_by_name(name, g, &ctx).expect("paper kernel");
