@@ -28,6 +28,7 @@ use gorder_graph::Permutation;
 use gorder_graph::{io, io_mm, Graph};
 use gorder_obs::OrderEvent;
 use gorder_orders::{run_ordering, CacheKey, OrderCache, OrderStats, OrderingAlgorithm};
+use std::borrow::Cow;
 use std::path::Path;
 use std::time::Duration;
 
@@ -89,6 +90,9 @@ pub struct CmdOutput {
     pub report: String,
     /// Set when a budgeted stage returned an anytime (partial) result.
     pub degraded: Option<DegradeReason>,
+    /// The kernel's result checksum (`run`/`simulate`; identical across
+    /// orderings and thread counts).
+    pub checksum: u64,
     /// One JSON line of per-kernel execution metrics (`run`/`simulate`
     /// commands only; printed by the binary under `--stats`).
     pub stats_json: Option<String>,
@@ -375,18 +379,44 @@ pub fn resolve_ordering_with_budget(
     cache: Option<&OrderCache>,
     dataset: Option<&str>,
 ) -> Result<ResolvedOrdering, CliError> {
-    let o = ordering_by_name(method, window, seed).ok_or_else(|| {
+    let o = ordering_or_usage(method, window, seed)?;
+    let key = CacheKey::for_ordering(g, o.as_ref(), seed);
+    resolve_ordering_keyed(g, o.as_ref(), &key, budget, cache, dataset)
+}
+
+/// Resolves an ordering by name like [`ordering_by_name`], or a usage
+/// error listing the known ones.
+pub fn ordering_or_usage(
+    method: &str,
+    window: u32,
+    seed: u64,
+) -> Result<Box<dyn OrderingAlgorithm>, CliError> {
+    ordering_by_name(method, window, seed).ok_or_else(|| {
         CliError::Usage(format!(
             "unknown ordering {method:?}; known: {:?}",
             ordering_names()
         ))
-    })?;
-    let key = CacheKey::for_ordering(g, o.as_ref(), seed);
+    })
+}
+
+/// [`resolve_ordering_with_budget`] for a caller that already holds the
+/// ordering `o` and its cache `key` (built with `key.seed` as the
+/// ordering's seed) — the serve daemon keys single-flight and the cache
+/// with one key built from each dataset's resident digest, so the graph
+/// is never hashed per request.
+pub fn resolve_ordering_keyed(
+    g: &Graph,
+    o: &dyn OrderingAlgorithm,
+    key: &CacheKey,
+    budget: &Budget,
+    cache: Option<&OrderCache>,
+    dataset: Option<&str>,
+) -> Result<ResolvedOrdering, CliError> {
     let event = |status: &str, seconds: f64, stats: OrderStats, hit: bool| OrderEvent {
         dataset: dataset.map(str::to_string),
         name: o.name().to_string(),
         params: o.params(),
-        seed,
+        seed: key.seed,
         graph_digest: key.graph_digest,
         identity: key.identity(),
         status: status.to_string(),
@@ -400,7 +430,7 @@ pub fn resolve_ordering_with_budget(
     };
     if let Some(cache) = cache {
         let t = std::time::Instant::now();
-        if let Some(perm) = cache.load(&key, g.n()) {
+        if let Some(perm) = cache.load(key, g.n()) {
             let stats = OrderStats {
                 nodes_placed: u64::from(perm.len()),
                 threads_used: 1,
@@ -415,10 +445,10 @@ pub fn resolve_ordering_with_budget(
             });
         }
     }
-    match run_ordering(o.as_ref(), g, gorder_orders::ExecPlan::Serial, budget) {
+    match run_ordering(o, g, gorder_orders::ExecPlan::Serial, budget) {
         ExecOutcome::Completed(run) => {
             if let Some(cache) = cache {
-                if let Err(e) = cache.store(&key, &run.perm) {
+                if let Err(e) = cache.store(key, &run.perm) {
                     eprintln!("warning: order cache store failed: {e}");
                 }
             }
@@ -443,25 +473,31 @@ pub fn resolve_ordering_with_budget(
 }
 
 /// Resolves and applies the optional `--method` ordering under an optional
-/// timeout, returning the (re)labelled graph, a report note, and the
-/// degradation marker if the ordering ran out of budget partway.
-fn ordered_graph(
-    g: &Graph,
+/// timeout: the relabelled graph (the input itself, borrowed, when no
+/// ordering is named) and the degradation marker if the ordering ran out
+/// of budget partway.
+fn ordered_graph<'g>(
+    g: &'g Graph,
     ordering: Option<&str>,
     window: u32,
     seed: u64,
     timeout: Option<Duration>,
-) -> Result<(Graph, String, Option<DegradeReason>), CliError> {
+) -> Result<(Cow<'g, Graph>, Option<DegradeReason>), CliError> {
     match ordering {
-        None => Ok((g.clone(), "original order".to_string(), None)),
+        None => Ok((Cow::Borrowed(g), None)),
         Some(name) => {
             let (perm, degraded) = compute_ordering_budgeted(g, name, window, seed, timeout)?;
-            let note = match degraded {
-                None => format!("{name} order"),
-                Some(reason) => format!("{name} order (degraded: {reason})"),
-            };
-            Ok((g.relabel(&perm), note, degraded))
+            Ok((Cow::Owned(g.relabel(&perm)), degraded))
         }
+    }
+}
+
+/// The report's name for the labels a kernel ran over.
+fn labels_note(ordering: Option<&str>, degraded: Option<DegradeReason>) -> String {
+    match (ordering, degraded) {
+        (None, _) => "original order".to_string(),
+        (Some(name), None) => format!("{name} order"),
+        (Some(name), Some(reason)) => format!("{name} order (degraded: {reason})"),
     }
 }
 
@@ -496,20 +532,39 @@ pub fn run_algorithm_budgeted(
     timeout: Option<Duration>,
     threads: u32,
 ) -> Result<CmdOutput, CliError> {
+    // An unknown name fails before any ordering work.
+    resolve_algorithm(algo)?;
+    let (graph, degraded) = ordered_graph(g, ordering, window, seed, timeout)?;
+    run_kernel(&graph, algo, ordering, degraded, seed, threads)
+}
+
+/// The kernel half of [`run_algorithm_budgeted`]: runs `algo` on `g` as
+/// given. `ordering` names the ordering that produced `g`'s labels
+/// (`None`: the original order) and `degraded` its degradation marker;
+/// both only label the report, stats line and trace record.
+pub fn run_kernel(
+    g: &Graph,
+    algo: &str,
+    ordering: Option<&str>,
+    degraded: Option<DegradeReason>,
+    seed: u64,
+    threads: u32,
+) -> Result<CmdOutput, CliError> {
     let name = resolve_algorithm(algo)?;
-    let (graph, note, degraded) = ordered_graph(g, ordering, window, seed, timeout)?;
     let ctx = KernelCtx {
         seed,
         ..Default::default()
     };
     let t = std::time::Instant::now();
-    let run = gorder_engine::run_by_name_plan(name, &graph, &ctx, ExecPlan::with_threads(threads))
+    let run = gorder_engine::run_by_name_plan(name, g, &ctx, ExecPlan::with_threads(threads))
         .expect("resolved kernel name");
     let seconds = t.elapsed().as_secs_f64();
     let (checksum, stats) = (run.checksum, run.stats);
+    let note = labels_note(ordering, degraded);
     Ok(CmdOutput {
         report: format!("{algo} over {note}: checksum {checksum:#x} in {seconds:.3}s"),
         degraded,
+        checksum,
         stats_json: Some(stats_json_line(name, ordering, checksum, seconds, &stats)),
         trace_events: vec![kernel_trace_event(
             name, ordering, checksum, seconds, threads, &stats,
@@ -541,8 +596,23 @@ pub fn simulate_algorithm_budgeted(
     seed: u64,
     timeout: Option<Duration>,
 ) -> Result<CmdOutput, CliError> {
+    // An unknown name fails before any ordering work.
+    resolve_algorithm(algo)?;
+    let (graph, degraded) = ordered_graph(g, ordering, window, seed, timeout)?;
+    simulate_kernel(&graph, algo, ordering, degraded, seed)
+}
+
+/// The kernel half of [`simulate_algorithm_budgeted`]: replays `algo` on
+/// `g` as given through the simulated cache hierarchy; `ordering` and
+/// `degraded` label the output as in [`run_kernel`].
+pub fn simulate_kernel(
+    g: &Graph,
+    algo: &str,
+    ordering: Option<&str>,
+    degraded: Option<DegradeReason>,
+    seed: u64,
+) -> Result<CmdOutput, CliError> {
     let name = resolve_algorithm(algo)?;
-    let (graph, note, degraded) = ordered_graph(g, ordering, window, seed, timeout)?;
     let ctx = TraceCtx {
         pr_iterations: 5,
         diameter_samples: 4,
@@ -552,10 +622,11 @@ pub fn simulate_algorithm_budgeted(
     let mut tracer = Tracer::new(CacheHierarchy::new(&HierarchyConfig::scaled_down()));
     let t = std::time::Instant::now();
     let (checksum, stats) =
-        replay_with_stats(name, &graph, &mut tracer, &ctx).expect("resolved kernel name");
+        replay_with_stats(name, g, &mut tracer, &ctx).expect("resolved kernel name");
     let seconds = t.elapsed().as_secs_f64();
     let s = tracer.stats();
     let b = tracer.breakdown(&StallModel::skylake());
+    let note = labels_note(ordering, degraded);
     Ok(CmdOutput {
         report: format!(
             "{algo} over {note}: {:.1}M refs, L1-mr {:.1}%, cache-mr {:.1}%, stall share {:.0}%",
@@ -565,6 +636,7 @@ pub fn simulate_algorithm_budgeted(
             b.stall_fraction() * 100.0
         ),
         degraded,
+        checksum,
         stats_json: Some(stats_json_line(name, ordering, checksum, seconds, &stats)),
         trace_events: vec![kernel_trace_event(
             name, ordering, checksum, seconds, 1, &stats,
@@ -687,6 +759,27 @@ mod tests {
         // Reports match up to the timing suffix.
         let head = |s: &str| s.split(" in ").next().unwrap().to_string();
         assert_eq!(head(&plain), head(&budgeted.report));
+    }
+
+    #[test]
+    fn kernel_halves_on_a_relabelled_graph_match_the_full_commands() {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (0, 3)]);
+        let (perm, _) = compute_ordering_budgeted(&g, "Gorder", 5, 1, None).unwrap();
+        let relabelled = g.relabel(&perm);
+
+        let full = run_algorithm_budgeted(&g, "BFS", Some("Gorder"), 5, 1, None, 1).unwrap();
+        let half = run_kernel(&relabelled, "BFS", Some("Gorder"), None, 1, 1).unwrap();
+        let head = |s: &str| s.split(" in ").next().unwrap().to_string();
+        assert_eq!(head(&half.report), head(&full.report));
+        assert_eq!(half.checksum, full.checksum);
+        assert!(full
+            .report
+            .contains(&format!("checksum {:#x}", full.checksum)));
+
+        let full = simulate_algorithm_budgeted(&g, "NQ", Some("Gorder"), 5, 1, None).unwrap();
+        let half = simulate_kernel(&relabelled, "NQ", Some("Gorder"), None, 1).unwrap();
+        assert_eq!(half.report, full.report);
+        assert_eq!(half.checksum, full.checksum);
     }
 
     #[test]

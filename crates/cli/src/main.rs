@@ -336,6 +336,7 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
                 degraded,
                 stats_json,
                 trace_events,
+                ..
             } = if cmd == "run" {
                 run_algorithm_budgeted(
                     &g,

@@ -91,8 +91,15 @@ pub struct CacheKey {
 impl CacheKey {
     /// Key for running `o` on `g` with `seed`.
     pub fn for_ordering(g: &Graph, o: &dyn OrderingAlgorithm, seed: u64) -> Self {
+        Self::with_digest(graph_digest(g), o, seed)
+    }
+
+    /// Key for running `o` with `seed` on a graph whose
+    /// [`graph_digest`] the caller already holds — long-lived callers
+    /// hash each resident graph once instead of once per lookup.
+    pub fn with_digest(graph_digest: u64, o: &dyn OrderingAlgorithm, seed: u64) -> Self {
         CacheKey {
-            graph_digest: graph_digest(g),
+            graph_digest,
             ordering: o.name().to_string(),
             params: o.params(),
             seed,
@@ -293,6 +300,14 @@ mod tests {
             graph_digest(&Graph::empty(3)),
             graph_digest(&Graph::empty(4))
         );
+    }
+
+    #[test]
+    fn key_from_a_held_digest_equals_the_hashed_key() {
+        let g = copying_model(100, 4, 0.5, 1);
+        let o = GorderOrdering::with_defaults();
+        let key = CacheKey::for_ordering(&g, &o, 7);
+        assert_eq!(CacheKey::with_digest(graph_digest(&g), &o, 7), key);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! expires), flushes the trace, and only then returns — zero accepted
 //! requests are dropped.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,16 +37,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-use gorder_cli::{
-    resolve_ordering_with_budget, run_algorithm_budgeted, simulate_algorithm_budgeted, CliError,
-    ResolvedOrdering,
-};
+use gorder_cli::{resolve_ordering_keyed, run_kernel, simulate_kernel, CliError, ResolvedOrdering};
 use gorder_core::budget::Budget;
 use gorder_engine::parallel::{panic_message, run_tasks_outcomes};
 use gorder_graph::datasets;
 use gorder_graph::{Graph, Permutation};
 use gorder_obs::{faults, ServeEvent, TraceEvent, TraceSink};
-use gorder_orders::{OrderCache, SingleFlight};
+use gorder_orders::{graph_digest, CacheKey, OrderCache, SingleFlight};
 
 use crate::admission::{Queue, Refused};
 use crate::protocol::{
@@ -128,6 +126,14 @@ enum OrderOutcome {
     Failed(String),
 }
 
+/// A pre-loaded dataset: its graph and the graph's [`graph_digest`],
+/// hashed once at bind so a request builds its cache key without
+/// touching the graph.
+struct Dataset {
+    graph: Graph,
+    digest: u64,
+}
+
 struct Job {
     spec: WorkSpec,
     op: &'static str,
@@ -139,7 +145,7 @@ struct Job {
 pub struct Server {
     listener: TcpListener,
     cfg: ServerConfig,
-    graphs: HashMap<String, Graph>,
+    datasets: HashMap<String, Dataset>,
     cache: Option<OrderCache>,
     flights: SingleFlight<OrderOutcome>,
     queue: Queue<Job>,
@@ -164,7 +170,7 @@ impl Server {
         } else {
             cfg.datasets.clone()
         };
-        let mut graphs = HashMap::new();
+        let mut loaded = HashMap::new();
         for name in &names {
             let d = datasets::by_name(name).ok_or_else(|| {
                 std::io::Error::new(
@@ -175,7 +181,9 @@ impl Server {
                     ),
                 )
             })?;
-            graphs.insert(name.clone(), d.build(cfg.scale));
+            let graph = d.build(cfg.scale);
+            let digest = graph_digest(&graph);
+            loaded.insert(name.clone(), Dataset { graph, digest });
         }
         let cache = match &cfg.cache_dir {
             Some(dir) => Some(OrderCache::new(dir)?),
@@ -204,7 +212,7 @@ impl Server {
         Ok(Server {
             listener,
             cfg,
-            graphs,
+            datasets: loaded,
             cache,
             flights: SingleFlight::new(),
             queue: Queue::new(queue_cap),
@@ -408,7 +416,7 @@ impl Server {
             Request::Health => {
                 let report = format!(
                     "ok: {} datasets, queue {}/{}, draining={}",
-                    self.graphs.len(),
+                    self.datasets.len(),
                     self.queue.depth(),
                     self.cfg.queue_cap,
                     self.draining()
@@ -513,12 +521,12 @@ impl Server {
         };
         let seconds = t.elapsed().as_secs_f64();
         gorder_obs::global().observe("serve.latency_secs", &LATENCY_BOUNDS, seconds);
-        let (status, tier, report, checksum) = match &outcome {
-            Ok(done) => ("ok", Some(done.tier), done.report.clone(), done.checksum),
-            Err(e) => {
+        let (status, tier, checksum) = match &outcome {
+            Ok(done) => ("ok", Some(done.tier), done.checksum),
+            Err(_) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 gorder_obs::global().counter_add("serve.errors", 1);
-                ("error", None, e.clone(), 0)
+                ("error", None, 0)
             }
         };
         if let Some(tier) = tier {
@@ -537,7 +545,13 @@ impl Server {
             checksum,
         });
         match outcome {
-            Ok(done) => ok_response(job.op, Some(done.tier), degraded_serial, &report, seconds),
+            Ok(done) => ok_response(
+                job.op,
+                Some(done.tier),
+                degraded_serial,
+                &done.report,
+                seconds,
+            ),
             Err(e) => error_response(job.op, &e),
         }
     }
@@ -551,20 +565,24 @@ impl Server {
         threads: u32,
         serial_retry: bool,
     ) -> Result<Processed, String> {
-        let g = self.graphs.get(&spec.dataset).ok_or_else(|| {
+        let ds = self.datasets.get(&spec.dataset).ok_or_else(|| {
             format!(
                 "unknown dataset {:?}; loaded: {:?}",
                 spec.dataset,
                 self.dataset_names()
             )
         })?;
+        let g = &ds.graph;
         let threads = if serial_retry { 1 } else { threads };
 
-        // Resolve the ordering tier first (shared by all three ops).
-        let (ordered, tier) = match &spec.ordering {
-            None => (g.clone(), "full"),
+        // Resolve the ordering tier first (shared by all three ops). The
+        // kernel runs on the resident graph itself for the original
+        // labels, on one fresh relabel otherwise; `label` names the
+        // ordering that produced the labels it runs over.
+        let (ordered, label, tier) = match &spec.ordering {
+            None => (Cow::Borrowed(g), None, "full"),
             Some(name) => {
-                let (outcome, shared) = self.resolve_order(g, name, spec)?;
+                let (outcome, shared) = self.resolve_order(ds, name, spec)?;
                 match outcome {
                     OrderOutcome::Ready {
                         perm,
@@ -590,7 +608,7 @@ impl Server {
                                 ),
                             });
                         }
-                        (g.relabel(&perm), tier)
+                        (Cow::Owned(g.relabel(&perm)), Some(name.as_str()), tier)
                     }
                     OrderOutcome::TimedOut | OrderOutcome::Failed(_) => {
                         // Bottom of the ladder: serve over the original
@@ -610,65 +628,47 @@ impl Server {
                                 ),
                             });
                         }
-                        (g.clone(), "original")
+                        (Cow::Borrowed(g), None, "original")
                     }
                 }
             }
         };
 
         let algo = spec.algo.as_deref().expect("work ops validated algo");
+        // The tier already reports a degraded ordering, so the kernel
+        // half gets no degradation marker: the report stays
+        // "<algo> over <label> order".
         let out = match op {
-            "run" => {
-                run_algorithm_budgeted(&ordered, algo, None, spec.window, spec.seed, None, threads)
-            }
-            "simulate" => {
-                simulate_algorithm_budgeted(&ordered, algo, None, spec.window, spec.seed, None)
-            }
+            "run" => run_kernel(&ordered, algo, label, None, spec.seed, threads),
+            "simulate" => simulate_kernel(&ordered, algo, label, None, spec.seed),
             other => unreachable!("op {other} dispatched as work"),
         }
-        .map_err(|e| match e {
-            CliError::Usage(msg) => msg,
-            other => other.to_string(),
-        })?;
-        // The inner runner saw an already-relabelled graph (ordering was
-        // resolved through the tier ladder above), so its note claims
-        // "original order"; name the ordering that actually produced the
-        // labels instead.
-        let report = match &spec.ordering {
-            Some(name) if tier != "original" => {
-                out.report
-                    .replacen("over original order", &format!("over {name} order"), 1)
-            }
-            _ => out.report,
-        };
-        let checksum = gorder_obs::trace::config_hash(&report);
-        for ev in &out.trace_events {
-            self.trace_event(ev.clone());
+        .map_err(|e| e.to_string())?;
+        for ev in out.trace_events {
+            self.trace_event(ev);
         }
         Ok(Processed {
             tier,
-            checksum,
-            report,
+            checksum: out.checksum,
+            report: out.report,
         })
     }
 
     /// Resolves an ordering through the full tier ladder under a
     /// cancellable budget, with single-flight sharing of concurrent
-    /// identical resolutions. Returns the outcome plus whether it was
-    /// shared from another caller's flight.
+    /// identical resolutions. One cache key, built from the dataset's
+    /// resident digest, names both the flight and the cache entry.
+    /// Returns the outcome plus whether it was shared from another
+    /// caller's flight.
     fn resolve_order(
         &self,
-        g: &Graph,
+        ds: &Dataset,
         name: &str,
         spec: &WorkSpec,
     ) -> Result<(OrderOutcome, bool), String> {
-        let o = gorder_cli::ordering_by_name(name, spec.window, spec.seed).ok_or_else(|| {
-            format!(
-                "unknown ordering {name:?}; known: {:?}",
-                gorder_cli::ordering_names()
-            )
-        })?;
-        let key = gorder_orders::CacheKey::for_ordering(g, o.as_ref(), spec.seed);
+        let o = gorder_cli::ordering_or_usage(name, spec.window, spec.seed)
+            .map_err(|e| e.to_string())?;
+        let key = CacheKey::with_digest(ds.digest, o.as_ref(), spec.seed);
         let budget = self.request_budget(spec);
         let budget_id = self.next_budget_id.fetch_add(1, Ordering::Relaxed);
         self.active
@@ -676,11 +676,10 @@ impl Server {
             .expect("active budgets lock")
             .push((budget_id, budget.clone()));
         let result = self.flights.run(&key.identity(), || {
-            match resolve_ordering_with_budget(
-                g,
-                name,
-                spec.window,
-                spec.seed,
+            match resolve_ordering_keyed(
+                &ds.graph,
+                o.as_ref(),
+                &key,
                 &budget,
                 self.cache.as_ref(),
                 Some(&spec.dataset),
@@ -733,7 +732,7 @@ impl Server {
     }
 
     fn dataset_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.graphs.keys().map(String::as_str).collect();
+        let mut names: Vec<&str> = self.datasets.keys().map(String::as_str).collect();
         names.sort_unstable();
         names
     }

@@ -371,3 +371,93 @@ fn single_flight_shares_concurrent_identical_orderings() {
     let summary = server.join();
     assert_eq!(summary.accepted, summary.answered, "{summary:?}");
 }
+
+/// The `(kernel, serve)` record pairs of a one-worker daemon's trace,
+/// for the requests that ran a kernel: with one worker a request's
+/// records are contiguous and its `serve` record comes last.
+fn kernel_serve_pairs(
+    trace: &std::path::Path,
+) -> Vec<(
+    std::collections::BTreeMap<String, String>,
+    std::collections::BTreeMap<String, String>,
+)> {
+    let body = std::fs::read_to_string(trace).unwrap();
+    let mut kernel = None;
+    let mut pairs = Vec::new();
+    for line in body.lines() {
+        let rec = gorder_obs::json::parse_object(line).unwrap();
+        match rec["kind"].as_str() {
+            "\"kernel\"" => kernel = Some(rec),
+            "\"serve\"" => {
+                if let Some(k) = kernel.take() {
+                    pairs.push((k, rec));
+                }
+            }
+            _ => {}
+        }
+    }
+    pairs
+}
+
+#[test]
+fn served_kernel_records_carry_the_kernel_checksum_and_the_served_label() {
+    let _guard = fault_lock();
+    let dir = tmpdir("labels");
+    let trace = dir.join("trace.jsonl");
+    let mut cfg = test_config();
+    cfg.workers = 1;
+    cfg.trace_path = Some(trace.clone());
+    cfg.cache_dir = Some(dir.join("cache"));
+    let server = Running::start(cfg);
+    let addr = server.addr();
+    let policy = RetryPolicy::default();
+
+    // Two identical Gorder runs (tiers full, then cache), one over the
+    // original labels, one whose ordering gets no time (RCM has no
+    // anytime path, so it lands on tier original), and a simulate.
+    let mut rcm = work_request("run", Some("RCM"), Some("BFS"));
+    rcm.timeout_ms = Some(0);
+    let requests = [
+        work_request("run", Some("Gorder"), Some("BFS")),
+        work_request("run", Some("Gorder"), Some("BFS")),
+        work_request("run", None, Some("BFS")),
+        rcm,
+        work_request("simulate", Some("Gorder"), Some("NQ")),
+    ];
+    let mut tiers = Vec::new();
+    for req in &requests {
+        let reply = call(&addr, req, &policy).unwrap();
+        assert_eq!(reply.status, "ok", "{}", reply.report);
+        tiers.push(reply.tier.unwrap());
+    }
+    assert_eq!(tiers, ["full", "cache", "full", "original", "cache"]);
+    server.sigterm();
+    server.join();
+
+    let pairs = kernel_serve_pairs(&trace);
+    assert_eq!(pairs.len(), requests.len(), "one kernel record per request");
+    let labels: Vec<&str> = pairs.iter().map(|(k, _)| k["ordering"].as_str()).collect();
+    assert_eq!(
+        labels,
+        [
+            "\"Gorder\"",
+            "\"Gorder\"",
+            "\"Original\"",
+            "\"Original\"",
+            "\"Gorder\""
+        ],
+        "the kernel record names the labels the kernel ran over"
+    );
+    for (kernel, serve) in &pairs {
+        assert_eq!(
+            serve["checksum"], kernel["checksum"],
+            "the serve record carries the kernel checksum"
+        );
+    }
+    let (first, second) = (&pairs[0].1, &pairs[1].1);
+    assert_eq!(
+        first["checksum"], second["checksum"],
+        "identical requests record equal checksums"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
